@@ -182,17 +182,13 @@ def validate_metric(matrix) -> list[tuple[int, int, int]]:
         raise ValueError("matrix has nonzero diagonal")
     if not np.array_equal(mat, mat.T):
         raise ValueError("matrix is not symmetric")
-    n = mat.shape[0]
     violations = []
-    for x in range(n):
-        for z in range(n):
-            if z == x:
-                continue
-            # vector over y: c(x,z) + c(z,y) < c(x,y)
-            bad = np.nonzero(mat[x, z] + mat[z] < mat[x])[0]
-            for y in bad:
-                if y != x and y != z:
-                    violations.append((x, z, int(y)))
+    for x in range(mat.shape[0]):
+        # (z, y) grid of c(x,z) + c(z,y) < c(x,y); nonzero walks it row-major.
+        # The zero diagonal and non-negative entries rule out z == x, y == x
+        # and y == z.
+        bad_z, bad_y = np.nonzero(mat[x][:, None] + mat < mat[x])
+        violations.extend((x, z, y) for z, y in zip(bad_z.tolist(), bad_y.tolist()))
     return violations
 
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 
-from ..core.instance import Instance
+import numpy as np
+
+from ..core.instance import Instance, OneTwoInstance
 from ..core.tour import Tour, tour_cost, tour_from_edge_set
 
 UEdge = frozenset[int]
@@ -42,32 +45,35 @@ def apply_kmove(instance: Instance, tour: Tour, move: KMove) -> Tour:
     return new_tour
 
 
-def _reconnections(paths: list[tuple[int, int]]):
-    """All perfect matchings on path endpoints that close a single cycle.
+# (tuple, template, pair) entries costed in one numpy step. Each temporary then
+# stays at 64 KiB, so large k or n run in small memory and the arrays come from
+# the heap rather than fresh mappings; a step always takes at least one tuple.
+_CHUNK_ENTRIES = 1 << 13
 
-    Each path contributes two ports (its endpoints; equal for singleton
-    paths). Matchings are enumerated deterministically; single-cycle closure
-    is detected by union-find over the paths, rejecting self-loops and
-    parallel added edges.
+
+def _matchings(free: list[int]):
+    """Perfect matchings of the ports in `free`, in a fixed recursive order."""
+    if not free:
+        yield []
+        return
+    first = free[0]
+    for idx in range(1, len(free)):
+        rest = free[1:idx] + free[idx + 1 :]
+        for tail in _matchings(rest):
+            yield [(first, free[idx])] + tail
+
+
+@cache
+def _templates(j: int) -> np.ndarray:
+    """Port matchings that reconnect j tour paths into a single cycle.
+
+    Port 2p is the start and port 2p + 1 the end of path p. Whether a matching
+    closes a single cycle is decided by union-find over the path ids alone,
+    so the templates depend only on j. Returned as an array of shape
+    (templates, j, 2) of port indices, in matching enumeration order.
     """
-    j = len(paths)
-    ports = []  # (vertex, path_id)
-    for pid, (a, b) in enumerate(paths):
-        ports.append((a, pid))
-        ports.append((b, pid))
-
-    def matchings(free: list[int]):
-        if not free:
-            yield []
-            return
-        first = free[0]
-        for idx in range(1, len(free)):
-            other = free[idx]
-            rest = free[1:idx] + free[idx + 1 :]
-            for tail in matchings(rest):
-                yield [(first, other)] + tail
-
-    for pairing in matchings(list(range(2 * j))):
+    found = []
+    for pairing in _matchings(list(range(2 * j))):
         ufparent = list(range(j))
 
         def find(x: int) -> int:
@@ -76,82 +82,110 @@ def _reconnections(paths: list[tuple[int, int]]):
                 x = ufparent[x]
             return x
 
-        added = []
-        ok = True
         merges = 0
         for pa, pb in pairing:
-            va, ia = ports[pa]
-            vb, ib = ports[pb]
-            if va == vb:
-                ok = False
-                break
-            added.append(frozenset((va, vb)))
-            ra, rb = find(ia), find(ib)
+            ra, rb = find(pa // 2), find(pb // 2)
             if ra != rb:
                 ufparent[ra] = rb
                 merges += 1
-        if not ok or merges != j - 1:
-            continue
-        if len(set(added)) != j:
-            continue  # parallel added edges
-        yield added
+        if merges == j - 1:
+            found.append(pairing)
+    out = np.array(found, dtype=np.intp).reshape(-1, j, 2)
+    out.setflags(write=False)
+    return out
 
 
-def _paths_after_removal(tour: Tour, removed_idx: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Endpoints (start, end) of the tour paths left by removing edges at the
-    given positions, in tour order starting after the first removed edge."""
-    o = tour.order
-    n = len(o)
-    paths = []
-    for a, b in zip(removed_idx, removed_idx[1:] + (removed_idx[0] + n,)):
-        # path runs from position a+1 to position b (inclusive)
-        paths.append((o[(a + 1) % n], o[b % n]))
-    return paths
+def _cost_matrix(instance: Instance) -> np.ndarray:
+    if isinstance(instance, OneTwoInstance):
+        return np.array([instance.cost_row(u) for u in range(instance.n)])
+    return instance.cost
+
+
+def _checked_move(
+    order: tuple[int, ...],
+    removed_idx: np.ndarray,
+    pairs: np.ndarray,
+    delta: int,
+    tour_edges: frozenset[UEdge],
+) -> KMove | None:
+    """The move for one improving (tuple, template) candidate, or None if the
+    added edges are not a valid reconnection of the tour."""
+    n = len(order)
+    added = []
+    for va, vb in pairs.tolist():
+        if va == vb:
+            return None  # self-loop at a singleton path
+        added.append(frozenset((va, vb)))
+    if len(set(added)) != len(added):
+        return None  # parallel added edges
+    removed_set = frozenset(
+        frozenset((order[i], order[(i + 1) % n])) for i in removed_idx.tolist()
+    )
+    added_set = frozenset(added)
+    overlap = removed_set & added_set
+    move = KMove(removed=removed_set - overlap, added=added_set - overlap, delta=delta)
+    if not move.removed:
+        return None
+    if move.added & tour_edges:
+        return None  # re-adds a surviving tour edge: not a tour
+    return move
 
 
 def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None:
     """First improving move replacing at most k tour edges, or None.
 
-    Deterministic scan: move size ascending, then removed-edge index tuples in
-    lexicographic order, then reconnection patterns in enumeration order. The
-    returned move strictly decreases the tour cost.
+    Deterministic scan, and part of the contract: move size ascending, then
+    removed-edge index tuples in lexicographic order, then reconnection
+    templates in enumeration order. The first candidate in that order that
+    strictly decreases the tour cost and yields a valid tour is returned, so
+    the k-Opt trajectory is fixed by the instance and the start tour.
+
+    All tuples with the same first removed index are costed in one numpy step
+    (split into chunks when large); only the improving candidates go through
+    the exact per-move checks, in scan order.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     n = tour.n
     if n < 4:
         return None
-    o = tour.order
-    edge_cost = [instance.c(o[i], o[(i + 1) % n]) for i in range(n)]
+    o = np.asarray(tour.order, dtype=np.intp)
+    cost = _cost_matrix(instance)
+    edge_cost = cost[o, np.roll(o, -1)]
     tour_edges = tour.edge_set()
-    for j in range(2, k + 1):
-        if j > n:
-            break
-        for removed_idx in combinations(range(n), j):
-            removed = [
-                frozenset((o[i], o[(i + 1) % n])) for i in removed_idx
-            ]
-            removed_cost = sum(edge_cost[i] for i in removed_idx)
-            paths = _paths_after_removal(tour, removed_idx)
-            for added in _reconnections(paths):
-                added_cost = sum(
-                    instance.c(*sorted(e)) for e in added
-                )
-                if added_cost >= removed_cost:
-                    continue
-                removed_set = frozenset(removed)
-                added_set = frozenset(added)
-                overlap = removed_set & added_set
-                move = KMove(
-                    removed=removed_set - overlap,
-                    added=added_set - overlap,
-                    delta=added_cost - removed_cost,
-                )
-                if not move.removed:
-                    continue
-                if move.added & tour_edges:
-                    continue  # re-adds a surviving tour edge: not a tour
-                return move
+    for j in range(2, min(k, n) + 1):
+        templates = _templates(j)
+        first, second = templates[:, :, 0], templates[:, :, 1]
+        rows = max(1, _CHUNK_ENTRIES // first.size)
+        # tuples starting at i0 are i0 followed by the (j-1)-combinations of
+        # range(n) whose first element exceeds i0: a suffix of `rest`
+        rest = np.fromiter(
+            chain.from_iterable(combinations(range(n), j - 1)), dtype=np.intp
+        ).reshape(-1, j - 1)
+        for i0 in range(n - j + 1):
+            tail = rest[np.searchsorted(rest[:, 0], i0 + 1) :]
+            for lo in range(0, len(tail), rows):
+                part = tail[lo : lo + rows]
+                idx = np.empty((len(part), j), dtype=np.intp)
+                idx[:, 0] = i0
+                idx[:, 1:] = part
+                # path p runs from position idx[p] + 1 to idx[p + 1]
+                ports = np.empty((len(idx), 2 * j), dtype=np.intp)
+                ports[:, 0::2] = o[(idx + 1) % n]
+                ports[:, 1::2] = o[np.roll(idx, -1, axis=1)]
+                removed_cost = edge_cost[idx].sum(axis=1)
+                added_cost = cost[ports[:, first], ports[:, second]].sum(axis=2)
+                hits = np.nonzero(added_cost < removed_cost[:, None])
+                for r, t in zip(*hits):
+                    move = _checked_move(
+                        tour.order,
+                        idx[r],
+                        ports[r][templates[t]],
+                        int(added_cost[r, t] - removed_cost[r]),
+                        tour_edges,
+                    )
+                    if move is not None:
+                        return move
     return None
 
 

@@ -68,6 +68,21 @@ class TestValidateMetric:
         violations = validate_metric(mat)
         assert (0, 2, 1) in violations
 
+    def test_matches_triple_loop_in_order(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 8, 11):
+            upper = np.triu(rng.integers(1, 20, size=(n, n)), 1)
+            mat = upper + upper.T
+            expected = [
+                (x, z, y)
+                for x in range(n)
+                for z in range(n)
+                for y in range(n)
+                if len({x, y, z}) == 3 and mat[x, z] + mat[z, y] < mat[x, y]
+            ]
+            assert expected
+            assert validate_metric(mat) == expected
+
     def test_petersen_bfs_metric_ok(self):
         inst = graph_metric(petersen())
         # exhaustive recheck
