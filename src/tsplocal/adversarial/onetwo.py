@@ -12,7 +12,7 @@ witness tour of cost at most 10s + 10s/g.
 from __future__ import annotations
 
 from ..core.instance import OneTwoInstance
-from ..core.tour import Tour, tour_cost
+from ..core.tour import Tour, tour_cost, walk
 from ..extremal.coloring import bipartite_edge_coloring
 from ..extremal.generate import bipartite_double_cover
 from ..extremal.graph import SimpleGraph, girth
@@ -107,31 +107,21 @@ def build_12tsp_lower(k: int, g: int, base4reg: SimpleGraph) -> ConstructionBund
 def _cycle_break_witness(
     instance: OneTwoInstance, wiring_graph: SimpleGraph
 ) -> tuple[Tour, int, int]:
-    """Remove the lexicographically-first edge of each wiring cycle, then
-    chain the resulting paths in order of their smallest vertex."""
+    """Walk each wiring cycle from its smallest vertex toward the smaller
+    neighbour, dropping the edge back from the larger one, then chain the
+    resulting paths in order of their smallest vertex."""
     n = wiring_graph.n
     seen = [False] * n
-    paths: list[list[int]] = []
+    order: list[int] = []
+    num_cycles = 0
     min_cycle = n + 1
     for start in range(n):
         if seen[start]:
             continue
-        # trace the cycle through `start` (the wiring graph is 2-regular)
-        cyc = [start]
-        seen[start] = True
-        prev, cur = -1, start
-        while True:
-            nxt = min(w for w in wiring_graph.adj[cur] if w != prev)
-            if nxt == start:
-                break
-            seen[nxt] = True
-            cyc.append(nxt)
-            prev, cur = cur, nxt
+        cyc = walk(wiring_graph.adj, start)  # the wiring graph is 2-regular
+        for v in cyc:
+            seen[v] = True
         min_cycle = min(min_cycle, len(cyc))
-        # break the lexicographically-first edge (start, smaller neighbor)
-        paths.append(cyc)
-    order: list[int] = []
-    for path in sorted(paths, key=lambda p: p[0]):
-        order.extend(path)
-    tour = Tour(order)
-    return tour, len(paths), min_cycle
+        num_cycles += 1
+        order.extend(cyc)
+    return Tour(order), num_cycles, min_cycle

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.instance import Instance
-from ..core.tour import Tour
+from ..core.tour import Tour, hamiltonian_order
 from .kopt_cert import BudgetExceededError
 
 
@@ -45,23 +45,7 @@ def find_improving_alternating_cycle(
                 edges.discard(e)
             else:
                 edges.add(e)
-        if len(edges) != n:
-            return False
-        adj: dict[int, list[int]] = {}
-        for e in edges:
-            u, v = tuple(e)
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        if len(adj) != n or any(len(x) != 2 for x in adj.values()):
-            return False
-        prev, cur = -1, 0
-        steps = 0
-        while True:
-            a, b = adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-            steps += 1
-            if cur == 0:
-                return steps == n
+        return hamiltonian_order(edges, n) is not None
 
     def rec(seq: list[int], used: set[int], gain: int) -> ImprovingCycle | None:
         counter[0] += 1

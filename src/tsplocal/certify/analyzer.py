@@ -14,11 +14,11 @@ floats are involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.instance import Instance
-from ..core.tour import Tour, tour_cost
-from ..extremal.graph import MultiDigraph
+from ..core.tour import Tour, hamiltonian_order, tour_cost
+from ..extremal.graph import SimpleGraph, shortest_cycle
 from ..localsearch.moves import KMove, apply_kmove
 
 
@@ -147,9 +147,9 @@ class G2Certificate:
     l: int
     q_l: int
     contraction: ContractionMap
-    g1: MultiDigraph
+    g1: tuple[tuple[int, int, int], ...]  # (tail arc, head arc, tour position)
     coloring: tuple[int, ...]  # arc -> RED or BLUE
-    g2: MultiDigraph
+    g2: tuple[tuple[int, int, int], ...]  # the retained red-to-blue class arcs
     retained: int
     girth_value: float
     violating_cycle: tuple[tuple[int, int, int], ...] | None = None
@@ -213,11 +213,11 @@ def _multigraph_girth_with_cycle(
 ) -> tuple[float, list[tuple[int, int, int]] | None, list[int] | None]:
     """Girth of the underlying multigraph plus one shortest cycle.
 
-    The cycle comes back as its arc triples in cyclic order together with its
-    vertex sequence w_0..w_{r-1}, where edge j joins w_j and w_{j+1 mod r}.
+    A parallel pair is a 2-cycle, else the distinct pairs form a simple graph
+    and `shortest_cycle` gives the girth. The cycle comes back as its arc
+    triples in cyclic order together with its vertex sequence w_0..w_{r-1},
+    where edge j joins w_j and w_{j+1 mod r}.
     """
-    from collections import deque
-
     by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for t, h, lab in arcs:
         if t == h:
@@ -227,50 +227,16 @@ def _multigraph_girth_with_cycle(
         if len(by_pair[pair]) >= 2:
             a, b = pair
             return 2, by_pair[pair][:2], [a, b]
-    # simple graph now; BFS girth with cycle extraction
-    adj: dict[int, list[int]] = {}
-    for (u, v), _ in by_pair.items():
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for lst in adj.values():
-        lst.sort()
-    best = float("inf")
-    best_cycle_vertices: list[int] | None = None
-    for root in sorted(adj):
-        dist = {root: 0}
-        parent = {root: -1}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if 2 * dist[u] >= best:
-                break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w:
-                    length = dist[u] + dist[w] + 1
-                    if length < best:
-                        path_u, path_w = [u], [w]
-                        while path_u[-1] != root:
-                            path_u.append(parent[path_u[-1]])
-                        while path_w[-1] != root:
-                            path_w.append(parent[path_w[-1]])
-                        if len(set(path_u) | set(path_w)) == length:
-                            best = length
-                            best_cycle_vertices = (
-                                list(reversed(path_u)) + path_w[:-1]
-                            )
-    if best_cycle_vertices is None:
-        return float("inf"), None, None
+    best, cycle_vertices = shortest_cycle(SimpleGraph(num_vertices, list(by_pair)))
+    if cycle_vertices is None:
+        return best, None, None
+    L = len(cycle_vertices)
     cycle_arcs = []
-    L = len(best_cycle_vertices)
     for i in range(L):
-        u = best_cycle_vertices[i]
-        v = best_cycle_vertices[(i + 1) % L]
+        u = cycle_vertices[i]
+        v = cycle_vertices[(i + 1) % L]
         cycle_arcs.append(by_pair[(min(u, v), max(u, v))][0])
-    return best, cycle_arcs, best_cycle_vertices
+    return best, cycle_arcs, cycle_vertices
 
 
 def build_g2(
@@ -289,7 +255,7 @@ def build_g2(
     cmap = contraction_map(instance, reference_tour, k, l)
     o = tour.order
     n = len(o)
-    g1 = MultiDigraph(cmap.arc_count)
+    g1: list[tuple[int, int, int]] = []
     class_positions = set(report.class_edges[l])
     class_arc_pairs: list[tuple[int, int]] = []
     for i in range(n):
@@ -298,24 +264,24 @@ def build_g2(
         if i in class_positions and a == b:
             raise AssertionError("an l-long edge contracted to a self-loop")
         if a != b:
-            g1.add_arc(a, b, i)
+            g1.append((a, b, i))
         if i in class_positions:
             class_arc_pairs.append((a, b))
-    g1.validate()
 
     coloring = _derandomized_coloring(cmap.arc_count, class_arc_pairs)
-    g2 = MultiDigraph(cmap.arc_count)
-    for t, h, lab in g1.arcs:
-        if lab in class_positions and coloring[t] == RED and coloring[h] == BLUE:
-            g2.add_arc(t, h, lab)
+    g2 = [
+        (t, h, lab)
+        for t, h, lab in g1
+        if lab in class_positions and coloring[t] == RED and coloring[h] == BLUE
+    ]
     q_l = report.counts[l]
-    retained = g2.num_arcs()
+    retained = len(g2)
     if 4 * retained < q_l:
         raise AssertionError(
             f"coloring retained {retained} < ceil({q_l}/4) class edges"
         )
     girth_value, cycle, cycle_arcs = _multigraph_girth_with_cycle(
-        cmap.arc_count, g2.arcs
+        cmap.arc_count, g2
     )
     violation = cycle is not None and girth_value < 2 * k
     return G2Certificate(
@@ -323,9 +289,9 @@ def build_g2(
         l=l,
         q_l=q_l,
         contraction=cmap,
-        g1=g1,
+        g1=tuple(g1),
         coloring=coloring,
-        g2=g2,
+        g2=tuple(g2),
         retained=retained,
         girth_value=girth_value,
         violating_cycle=tuple(cycle) if violation else None,
@@ -575,40 +541,17 @@ def _shortcut_to_tour(graph: _EdgeMultigraph, n: int) -> None:
     degrees = [graph.degree(v) for v in range(n)]
     if any(d != 2 for d in degrees):
         raise AssertionError("shortcutting left a vertex of degree != 2")
-    # connectivity: trace the cycle through vertex 0
-    seen = set()
-    v, prev_idx = 0, -1
-    while True:
-        seen.add(v)
-        nxt = [i for i in graph.alive_at(v) if i != prev_idx]
-        idx = nxt[0]
-        v = graph.other_end(idx, v)
-        prev_idx = idx
-        if v == 0:
-            break
-    if len(seen) != n:
+    alive = [(u, v) for u, v, _, is_alive in graph.edges if is_alive]
+    if hamiltonian_order(alive, n) is None:
         raise AssertionError("shortcutting produced a disconnected 2-factor")
 
 
 def _orient(edge_set: frozenset | set, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e in edge_set:
-        u, v = tuple(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    succ: dict[int, int] = {}
-    prev, cur = -1, 0
-    nxt = min(adj[0])
-    while True:
-        succ[cur] = nxt
-        if nxt == 0:
-            break
-        prev, cur = cur, nxt
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-    pred = {v: u for u, v in succ.items()}
-    if len(succ) != n:
+    order = hamiltonian_order(edge_set, n)
+    if order is None:
         raise AssertionError("T' is not a Hamiltonian cycle")
+    succ = {order[i - 1]: order[i] for i in range(n)}
+    pred = {v: u for u, v in succ.items()}
     return succ, pred
 
 

@@ -8,7 +8,7 @@ from .instance import (
     validate_metric,
 )
 from .io import ParseError, read_graph, read_instance, read_tour, write_graph, write_instance, write_tour
-from .tour import Tour, tour_cost, tour_from_edge_set
+from .tour import Tour, hamiltonian_order, tour_cost, tour_from_edge_set
 
 __all__ = [
     "GraphInstance",
@@ -19,6 +19,7 @@ __all__ = [
     "Tour",
     "duplicate_vertex",
     "graph_metric",
+    "hamiltonian_order",
     "read_graph",
     "read_instance",
     "read_tour",

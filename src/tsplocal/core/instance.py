@@ -148,9 +148,6 @@ class OneTwoInstance:
         row[u] = 0
         return row
 
-    def unit_graph(self) -> SimpleGraph:
-        return SimpleGraph(self.n, self.unit_edges())
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OneTwoInstance)

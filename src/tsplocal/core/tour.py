@@ -76,30 +76,58 @@ def tour_cost(instance: Instance, tour: Tour) -> int:
     return sum(instance.c(o[i], o[(i + 1) % n]) for i in range(n))
 
 
-def tour_from_edge_set(edges, n: int) -> Tour:
-    """Rebuild a Tour from an n-edge set forming a single Hamiltonian cycle.
+def walk(adj, start: int) -> list[int]:
+    """Vertices met walking a max-degree-2 adjacency from `start`.
 
-    Deterministic orientation: start at vertex 0 and move toward its
-    smaller-id neighbor.
+    `adj[v]` holds the neighbours of v, and `start` has at least one. The
+    first step goes to the smaller neighbour of `start`; after that each
+    vertex has one way on. The walk ends
+    on returning to `start`, which gives the whole cycle, or at the far end of
+    a path, so a path is walked whole only from one of its ends.
     """
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    order = [start]
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        order.append(cur)
+        nbrs = adj[cur]
+        if len(nbrs) < 2:
+            return order
+        a, b = nbrs
+        prev, cur = cur, (b if a == prev else a)
+    return order
+
+
+def hamiltonian_order(edges, n: int) -> list[int] | None:
+    """The vertex order of an edge set that is one Hamiltonian cycle on 0..n-1.
+
+    Edges are 2-element tuples or sets. The order starts at vertex 0 and moves
+    toward its smaller neighbour. None if the edge count is not n, a vertex
+    lies outside 0..n-1 or has degree other than 2, or the cycle through 0
+    misses a vertex (a subtour).
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
     count = 0
     for e in edges:
-        u, v = tuple(e)
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            return None
         adj[u].append(v)
         adj[v].append(u)
         count += 1
-    if count != n or any(len(a) != 2 for a in adj.values()):
-        raise ValueError("edge set is not a union of cycles covering 0..n-1")
-    order = [0]
-    prev = -1
-    cur = 0
-    nxt = min(adj[0])
-    while nxt != 0:
-        order.append(nxt)
-        prev, cur = cur, nxt
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-    if len(order) != n:
-        raise ValueError("edge set is not a single Hamiltonian cycle")
+    if count != n or any(len(a) != 2 for a in adj):
+        return None
+    order = walk(adj, 0)
+    return order if len(order) == n else None
+
+
+def tour_from_edge_set(edges, n: int) -> Tour:
+    """The Tour of an n-edge set forming a single Hamiltonian cycle.
+
+    Oriented as `hamiltonian_order`: from vertex 0 toward its smaller
+    neighbour. Raises ValueError if the edges are not one Hamiltonian cycle on
+    0..n-1.
+    """
+    order = hamiltonian_order(edges, n)
+    if order is None:
+        raise ValueError("edge set is not a single Hamiltonian cycle on 0..n-1")
     return Tour(order)

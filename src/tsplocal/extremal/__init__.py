@@ -3,13 +3,12 @@ from .coloring import bipartite_edge_coloring
 from .euler import eulerian_subgraph, eulerian_walk
 from .exsearch import EX_VERTEX_LIMIT, alon_upper_bound_holds, ex_bruteforce
 from .generate import GirthRepairError, bipartite_double_cover, regular_high_girth
-from .graph import MultiDigraph, SimpleGraph, girth, multigraph_girth, shortest_cycle
+from .graph import SimpleGraph, girth, shortest_cycle
 
 __all__ = [
     "CATALOG",
     "EX_VERTEX_LIMIT",
     "GirthRepairError",
-    "MultiDigraph",
     "SimpleGraph",
     "alon_upper_bound_holds",
     "bipartite_double_cover",
@@ -21,7 +20,6 @@ __all__ = [
     "generate_cage",
     "girth",
     "load_cage",
-    "multigraph_girth",
     "regular_high_girth",
     "shortest_cycle",
 ]

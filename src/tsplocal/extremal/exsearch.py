@@ -5,7 +5,6 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import milp, Bounds, LinearConstraint
 
 from .graph import SimpleGraph, girth
 
@@ -39,7 +38,11 @@ def ex_bruteforce(n: int, girth_bound: int) -> tuple[int, SimpleGraph]:
     Branch-and-bound over all labeled graphs: every cycle shorter than the
     bound becomes a linear constraint over edge indicators and HiGHS proves
     the optimum. Returns the value and one witness graph (girth re-verified).
+    Needs scipy (the `test` extra), imported here so the package loads
+    without it.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     if girth_bound < 3:
         raise ValueError("girth bound must be >= 3")
     if n > EX_VERTEX_LIMIT:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .cages import CATALOG, load_cage
-from .graph import SimpleGraph, girth, shortest_cycle
+from .graph import SimpleGraph, shortest_cycle
 
 
 class GirthRepairError(RuntimeError):
@@ -72,7 +72,8 @@ def regular_high_girth(
     Strategy: exact catalog lookup for known cages, else randomized pairing
     with double-edge-swap repair (break the shortest cycle by swapping one of
     its edges with a random far edge) on a vertex count guided by the
-    existence bound. The result is always re-verified with girth().
+    existence bound. The girth is recomputed for every candidate swap, so the
+    one checked at the end is the result's own.
     """
     if delta < 2 or g < 3:
         raise ValueError("need delta >= 2 and g >= 3")
@@ -86,10 +87,9 @@ def regular_high_girth(
     if n * delta % 2:
         n += 1
     graph = _random_regular(n, delta, rng)
-    best = girth(graph)
+    length, cyc = shortest_cycle(graph)
     for _ in range(swap_budget):
-        cyc = shortest_cycle(graph)
-        if cyc is None or len(cyc) >= g:
+        if length >= g:
             break
         # swap a cycle edge {a,b} with a random edge {c,d} into {a,c},{b,d}
         a, b = cyc[0], cyc[1]
@@ -107,13 +107,12 @@ def regular_high_girth(
         new_edges.add((min(a, c), max(a, c)))
         new_edges.add((min(b, d), max(b, d)))
         candidate = SimpleGraph(n, sorted(new_edges))
-        if girth(candidate) >= best:
-            graph = candidate
-            best = girth(candidate)
-    final = girth(graph)
-    if final < g:
+        candidate_length, candidate_cyc = shortest_cycle(candidate)
+        if candidate_length >= length:
+            graph, length, cyc = candidate, candidate_length, candidate_cyc
+    if length < g:
         raise GirthRepairError(
-            f"swap budget exhausted for ({delta},{g})", final
+            f"swap budget exhausted for ({delta},{g})", length
         )
     if not graph.is_regular(delta):
         raise AssertionError("repair broke regularity")

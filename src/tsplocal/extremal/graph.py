@@ -1,13 +1,11 @@
-"""Sparse undirected graphs and labeled directed multigraphs.
+"""Sparse undirected graphs and their shortest cycles.
 
-SimpleGraph is the substrate for all girth constructions and for Graph TSP;
-MultiDigraph carries per-edge provenance through tour contractions.
+SimpleGraph is the substrate for all girth constructions and for Graph TSP.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
 
@@ -113,25 +111,6 @@ class SimpleGraph:
                     stack.append(w)
         return count == self.n
 
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
     def bipartition(self) -> tuple[list[int], list[int]] | None:
         """Two-color the graph; returns (side0, side1) or None if odd cycle."""
         color = [-1] * self.n
@@ -171,24 +150,30 @@ class SimpleGraph:
         return dist
 
 
-def girth(graph: SimpleGraph) -> float:
-    """Exact girth via a truncated BFS from every vertex; inf for forests.
+def shortest_cycle(graph: SimpleGraph) -> tuple[float, list[int] | None]:
+    """Girth and one shortest cycle as a vertex list; (inf, None) for forests.
 
-    The BFS from root r finds the shortest cycle through r: the first time a
-    frontier edge joins two vertices whose tree paths split at r (or hits the
-    root level again) we get dist[u]+dist[v]+1. The minimum over all roots is
-    the girth.
+    A BFS from every root r in ascending order, over ascending neighbour
+    lists. A non-tree edge {u, w} closes a walk of dist[u] + dist[w] + 1 edges
+    through r; when that is shorter than the best cycle so far and the two
+    tree paths meet only at r, it is a cycle and becomes the witness. A BFS
+    from a root on a shortest cycle finds one, so the minimum is the girth,
+    and the witness is the first girth-length cycle in that scan order. A
+    BFS stops once 2 * dist[u] reaches the best length, since any later cycle
+    would be at least that long. The length is an int, or inf as a float.
     """
     best = float("inf")
+    witness: list[int] | None = None
     n = graph.n
     for root in range(n):
+        if len(graph.adj[root]) < 2:
+            continue  # on no cycle, and its tree paths all share one edge
         dist = [-1] * n
         parent = [-1] * n
         dist[root] = 0
         q = deque([root])
         while q:
             u = q.popleft()
-            # any cycle discovered from here on has length >= 2*dist[u]
             if 2 * dist[u] >= best:
                 break
             for w in graph.adj[u]:
@@ -196,86 +181,19 @@ def girth(graph: SimpleGraph) -> float:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     q.append(w)
-                elif parent[u] != w:
-                    # non-tree edge: cycle through u and w
-                    cyc = dist[u] + dist[w] + 1
-                    if cyc < best:
-                        best = cyc
-    return best
-
-
-def shortest_cycle(graph: SimpleGraph) -> list[int] | None:
-    """One shortest cycle as a vertex list, or None for forests."""
-    g = girth(graph)
-    if g == float("inf"):
-        return None
-    n = graph.n
-    for root in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for w in graph.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w and dist[u] + dist[w] + 1 == g:
+                elif parent[u] != w and dist[u] + dist[w] + 1 < best:
                     path_u, path_w = [u], [w]
                     while path_u[-1] != root:
                         path_u.append(parent[path_u[-1]])
                     while path_w[-1] != root:
                         path_w.append(parent[path_w[-1]])
-                    if len(set(path_u) | set(path_w)) == g:
-                        return list(reversed(path_u)) + path_w[:-1]
-    return None
+                    length = dist[u] + dist[w] + 1
+                    if len(set(path_u) | set(path_w)) == length:
+                        best = length
+                        witness = path_u[::-1] + path_w[:-1]
+    return best, witness
 
 
-@dataclass
-class MultiDigraph:
-    """Directed multigraph whose edges carry unique provenance labels.
-
-    Parallel edges are kept; `arcs` holds (tail, head, label) triples and
-    every label appears exactly once.
-    """
-
-    n: int
-    arcs: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def add_arc(self, tail: int, head: int, label: int) -> None:
-        if not (0 <= tail < self.n and 0 <= head < self.n):
-            raise ValueError(f"arc ({tail},{head}) out of range")
-        self.arcs.append((tail, head, label))
-
-    def validate(self) -> None:
-        labels = [lab for _, _, lab in self.arcs]
-        if len(labels) != len(set(labels)):
-            raise ValueError("duplicate provenance labels")
-
-    def num_arcs(self) -> int:
-        return len(self.arcs)
-
-
-def multigraph_girth(n: int, edge_pairs: list[tuple[int, int]]) -> float:
-    """Girth of an undirected multigraph given as endpoint pairs.
-
-    Parallel edges form 2-cycles. Self-loops are rejected (they never arise
-    from the tour contractions this supports).
-    """
-    pair_count: dict[Edge, int] = {}
-    for u, v in edge_pairs:
-        if u == v:
-            raise ValueError("self-loop in multigraph")
-        pair_count[_norm_edge(u, v)] = pair_count.get(_norm_edge(u, v), 0) + 1
-    if any(c >= 2 for c in pair_count.values()):
-        return 2
-    simple = SimpleGraph(n)
-    # all multiplicities are 1: fall back to the simple-graph girth
-    for (u, v), _ in sorted(pair_count.items()):
-        simple.adj[u].append(v)
-        simple.adj[v].append(u)
-    for lst in simple.adj:
-        lst.sort()
-    return girth(simple)
+def girth(graph: SimpleGraph) -> float:
+    """Length of a shortest cycle (see `shortest_cycle`); inf for forests."""
+    return shortest_cycle(graph)[0]

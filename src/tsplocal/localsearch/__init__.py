@@ -9,12 +9,10 @@ from .improv import (
     tour_to_two_matching,
     two_matching_to_tour,
 )
-from .lk import k_lin_kernighan_params, lin_kernighan, lin_kernighan_k
+from .lk import k_lin_kernighan_params, lin_kernighan
 from .moves import KMove, apply_kmove, find_improving_kmove, k_opt
-from .walks import AlternatingWalk, gain, is_proper, validate_alternating
 
 __all__ = [
-    "AlternatingWalk",
     "IMPROV_K_CAP",
     "ImprovMove",
     "KMove",
@@ -24,14 +22,10 @@ __all__ = [
     "count_structure",
     "find_improving_improv_move",
     "find_improving_kmove",
-    "gain",
-    "is_proper",
     "k_improv",
     "k_lin_kernighan_params",
     "k_opt",
     "lin_kernighan",
-    "lin_kernighan_k",
     "tour_to_two_matching",
     "two_matching_to_tour",
-    "validate_alternating",
 ]

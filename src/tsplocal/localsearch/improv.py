@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..core.instance import OneTwoInstance
-from ..core.tour import Tour, tour_cost
+from ..core.tour import Tour, tour_cost, walk
 
 UEdge = frozenset[int]
 
@@ -132,9 +132,9 @@ def two_matching_to_tour(
                     stack.append(w)
         endpoints = sorted(v for v in comp if len(adj[v]) == 1)
         if endpoints:
-            paths.append(_walk_path(adj, endpoints[0]))
+            paths.append(walk(adj, endpoints[0]))
         else:
-            paths.append(_break_cycle(_walk_cycle(adj, min(comp)), rng))
+            paths.append(_break_cycle(walk(adj, min(comp)), rng))
     order = _chain_paths(paths, rng)
     tour = Tour(order)
     cost = tour_cost(instance, tour)
@@ -142,28 +142,6 @@ def two_matching_to_tour(
     if cost != instance.n + (instance.n - unit_used):
         raise AssertionError("tour cost bookkeeping failed")
     return tour
-
-
-def _walk_path(adj, endpoint: int) -> list[int]:
-    seq = [endpoint]
-    prev, cur = -1, endpoint
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            return seq
-        prev, cur = cur, nxt[0]
-        seq.append(cur)
-
-
-def _walk_cycle(adj, start: int) -> list[int]:
-    seq = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = min(w for w in adj[cur] if w != prev)
-        if nxt == start:
-            return seq
-        seq.append(nxt)
-        prev, cur = cur, nxt
 
 
 def _break_cycle(cycle_seq: list[int], rng: random.Random) -> list[int]:
@@ -204,10 +182,6 @@ def apply_improv_move(
         raise ValueError("move adds edges already present")
     _validate_unit(instance, move.added)
     return TwoMatching.from_edges(instance.n, (tm.edges - move.deleted) | move.added)
-
-
-def is_improving_key(before: tuple[int, int, int], after: tuple[int, int, int]) -> bool:
-    return after < before
 
 
 def find_improving_improv_move(
@@ -301,7 +275,7 @@ def k_improv(instance: OneTwoInstance, tour: Tour, k: int, seed: int = 0) -> Tou
         if move is None:
             break
         new_tm = apply_improv_move(instance, tm, move)
-        if not is_improving_key(tm.key(), new_tm.key()):
+        if not new_tm.key() < tm.key():
             raise AssertionError("improv move failed to improve the key")
         tm = new_tm
     result = two_matching_to_tour(instance, tm, seed)

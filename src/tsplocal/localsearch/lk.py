@@ -14,7 +14,7 @@ the classic parameterization (5, 2).
 from __future__ import annotations
 
 from ..core.instance import Instance
-from ..core.tour import Tour, tour_cost, tour_from_edge_set
+from ..core.tour import Tour, hamiltonian_order, tour_cost, tour_from_edge_set
 
 UEdge = frozenset[int]
 
@@ -24,27 +24,6 @@ def k_lin_kernighan_params(k: int) -> tuple[int, int]:
     if k < 2:
         raise ValueError("k must be >= 2")
     return 2 * k - 1, 2 * k - 4
-
-
-def _is_tour(edge_set: set[UEdge], n: int) -> bool:
-    """Does the edge set form a single Hamiltonian cycle on 0..n-1?"""
-    if len(edge_set) != n:
-        return False
-    adj: dict[int, list[int]] = {}
-    for e in edge_set:
-        u, v = tuple(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if len(adj) != n or any(len(a) != 2 for a in adj.values()):
-        return False
-    prev, cur = -1, 0
-    steps = 0
-    while True:
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-        steps += 1
-        if cur == 0:
-            return steps == n
 
 
 class _Search:
@@ -159,7 +138,7 @@ class _Search:
                 diff.discard(e)
             else:
                 diff.add(e)
-        if _is_tour(diff, self.n):
+        if hamiltonian_order(diff, self.n) is not None:
             return walk
         return None
 
@@ -189,7 +168,3 @@ def lin_kernighan(instance: Instance, tour: Tour, p1: int, p2: int) -> Tour:
             raise AssertionError("augmentation failed to improve")
         cost = new_cost
 
-
-def lin_kernighan_k(instance: Instance, tour: Tour, k: int) -> Tour:
-    p1, p2 = k_lin_kernighan_params(k)
-    return lin_kernighan(instance, tour, p1, p2)

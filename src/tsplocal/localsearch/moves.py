@@ -101,34 +101,33 @@ def _cost_matrix(instance: Instance) -> np.ndarray:
     return instance.cost
 
 
-def _checked_move(
-    order: tuple[int, ...],
-    removed_idx: np.ndarray,
-    pairs: np.ndarray,
-    delta: int,
-    tour_edges: frozenset[UEdge],
-) -> KMove | None:
-    """The move for one improving (tuple, template) candidate, or None if the
-    added edges are not a valid reconnection of the tour."""
+def _kmove(
+    order: tuple[int, ...], removed_idx: np.ndarray, pairs: np.ndarray, delta: int
+) -> KMove:
+    """The move of one improving (tuple, template) candidate, unfiltered.
+
+    On a valid tour with n >= 4, scanned by ascending size, the first hit is
+    always an exact exchange of j tour edges for j new ones:
+      - a single-cycle template for j >= 2 never joins the two ports of one
+        path, so no added edge is a self-loop, and never closes two paths into
+        a 2-cycle, so no two added edges are parallel;
+      - tour neighbours in different paths are joined by a removed edge, so an
+        added edge can only be a surviving tour edge by repeating a removed
+        one;
+      - a hit that repeats m removed edges is an improving single-cycle
+        reconnection of j - m edges with the same delta, which the scan at
+        size j - m would have returned first (j - m >= 2: an exchange of at
+        most one edge that leaves a tour changes nothing and costs nothing).
+    `apply_kmove` re-checks every move that k-Opt applies.
+    """
     n = len(order)
-    added = []
-    for va, vb in pairs.tolist():
-        if va == vb:
-            return None  # self-loop at a singleton path
-        added.append(frozenset((va, vb)))
-    if len(set(added)) != len(added):
-        return None  # parallel added edges
-    removed_set = frozenset(
-        frozenset((order[i], order[(i + 1) % n])) for i in removed_idx.tolist()
+    return KMove(
+        removed=frozenset(
+            frozenset((order[i], order[(i + 1) % n])) for i in removed_idx.tolist()
+        ),
+        added=frozenset(frozenset(pair) for pair in pairs.tolist()),
+        delta=delta,
     )
-    added_set = frozenset(added)
-    overlap = removed_set & added_set
-    move = KMove(removed=removed_set - overlap, added=added_set - overlap, delta=delta)
-    if not move.removed:
-        return None
-    if move.added & tour_edges:
-        return None  # re-adds a surviving tour edge: not a tour
-    return move
 
 
 def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None:
@@ -137,12 +136,13 @@ def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None
     Deterministic scan, and part of the contract: move size ascending, then
     removed-edge index tuples in lexicographic order, then reconnection
     templates in enumeration order. The first candidate in that order that
-    strictly decreases the tour cost and yields a valid tour is returned, so
-    the k-Opt trajectory is fixed by the instance and the start tour.
+    strictly decreases the tour cost is returned, so the k-Opt trajectory is
+    fixed by the instance and the start tour. That candidate is always a valid
+    tour (see `_kmove`).
 
     All tuples with the same first removed index are costed in one numpy step
-    (split into chunks when large); only the improving candidates go through
-    the exact per-move checks, in scan order.
+    (split into chunks when large); the first improving candidate in scan
+    order is the answer.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -152,7 +152,6 @@ def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None
     o = np.asarray(tour.order, dtype=np.intp)
     cost = _cost_matrix(instance)
     edge_cost = cost[o, np.roll(o, -1)]
-    tour_edges = tour.edge_set()
     for j in range(2, min(k, n) + 1):
         templates = _templates(j)
         first, second = templates[:, :, 0], templates[:, :, 1]
@@ -175,17 +174,15 @@ def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None
                 ports[:, 1::2] = o[np.roll(idx, -1, axis=1)]
                 removed_cost = edge_cost[idx].sum(axis=1)
                 added_cost = cost[ports[:, first], ports[:, second]].sum(axis=2)
-                hits = np.nonzero(added_cost < removed_cost[:, None])
-                for r, t in zip(*hits):
-                    move = _checked_move(
+                rows_hit, templates_hit = np.nonzero(added_cost < removed_cost[:, None])
+                if len(rows_hit):
+                    r, t = rows_hit[0], templates_hit[0]
+                    return _kmove(
                         tour.order,
                         idx[r],
                         ports[r][templates[t]],
                         int(added_cost[r, t] - removed_cost[r]),
-                        tour_edges,
                     )
-                    if move is not None:
-                        return move
     return None
 
 

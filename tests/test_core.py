@@ -11,9 +11,11 @@ from tsplocal.core import (
     Tour,
     duplicate_vertex,
     graph_metric,
+    hamiltonian_order,
     read_instance,
     read_tour,
     tour_cost,
+    tour_from_edge_set,
     validate_metric,
     write_instance,
     write_tour,
@@ -56,6 +58,37 @@ class TestTourCost:
         if flip:
             rotated = rotated[::-1]
         assert tour_cost(inst, Tour(rotated)) == tour_cost(inst, Tour(base))
+
+
+class TestHamiltonianOrder:
+    def test_starts_at_zero_toward_smaller_neighbour(self):
+        edges = Tour([0, 4, 2, 1, 3]).edges()
+        assert hamiltonian_order(edges, 5) == [0, 3, 1, 2, 4]
+        assert tour_from_edge_set(edges, 5) == Tour([0, 3, 1, 2, 4])
+
+    def test_two_subtours(self):
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        assert hamiltonian_order(edges, 6) is None
+        with pytest.raises(ValueError):
+            tour_from_edge_set(edges, 6)
+
+    def test_degree_three_vertex(self):
+        # five edges on five vertices, but vertex 0 has degree 3
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]
+        assert hamiltonian_order(edges, 5) is None
+
+    def test_one_edge_short(self):
+        assert hamiltonian_order(Tour(range(6)).edges()[:-1], 6) is None
+
+    def test_vertex_out_of_range(self):
+        assert hamiltonian_order([(0, 1), (1, 2), (2, 3), (3, 0)], 3) is None
+        assert hamiltonian_order([(0, 1), (1, 5), (5, 0)], 3) is None
+
+    def test_tuple_and_frozenset_edges_agree(self):
+        tour = random_tour(9, seed=2)
+        as_sets = tour.edge_set()
+        assert hamiltonian_order(tour.edges(), 9) == hamiltonian_order(as_sets, 9)
+        assert tour_from_edge_set(as_sets, 9).same_cycle(tour)
 
 
 class TestValidateMetric:

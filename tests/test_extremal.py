@@ -14,8 +14,8 @@ from tsplocal.extremal import (
     generate_cage,
     girth,
     load_cage,
-    multigraph_girth,
     regular_high_girth,
+    shortest_cycle,
 )
 from tsplocal.extremal.cages import petersen
 from tsplocal.core.rand import random_connected_graph
@@ -48,8 +48,35 @@ class TestGirth:
             assert girth(g) == girth_by_edge_deletion(g)
 
     def test_multigraph_parallel_pair(self):
-        assert multigraph_girth(3, [(0, 1), (0, 1)]) == 2
-        assert multigraph_girth(3, [(0, 1), (1, 2), (0, 2)]) == 3
+        # the contracted multigraphs of the analyzer: arcs (tail, head, label)
+        from tsplocal.certify.analyzer import _multigraph_girth_with_cycle
+
+        assert _multigraph_girth_with_cycle(3, [(0, 1, 0), (1, 0, 1)])[0] == 2
+        value, arcs, cycle = _multigraph_girth_with_cycle(
+            3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
+        )
+        assert value == 3 and cycle == [0, 1, 2]
+        assert arcs == [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
+
+
+class TestShortestCycle:
+    def test_forest(self):
+        forest = SimpleGraph(6, [(0, 1), (1, 2), (1, 3), (4, 5)])
+        assert shortest_cycle(forest) == (float("inf"), None)
+
+    def test_petersen_five_cycle(self):
+        p = petersen()
+        length, cyc = shortest_cycle(p)
+        assert length == 5 and len(set(cyc)) == 5
+        assert all(p.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5))
+
+    def test_random_graphs_agree_with_girth_and_oracle(self):
+        for seed in range(12):
+            g = random_connected_graph(10, 6, seed=seed)
+            length, cyc = shortest_cycle(g)
+            assert length == girth(g) == girth_by_edge_deletion(g)
+            assert len(cyc) == len(set(cyc)) == length
+            assert all(g.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length))
 
 
 class TestExBruteforce:
@@ -167,10 +194,8 @@ class TestDoubleCover:
     def test_cycles_project_to_closed_walks(self):
         base = petersen()
         cover = bipartite_double_cover(base)
-        from tsplocal.extremal import shortest_cycle
-
-        cyc = shortest_cycle(cover)
-        assert cyc is not None
+        length, cyc = shortest_cycle(cover)
+        assert length == len(cyc) == 6
         proj = [v % base.n for v in cyc]
         for i in range(len(proj)):
             u, w = proj[i], proj[(i + 1) % len(proj)]

@@ -3,26 +3,23 @@ import pytest
 from tsplocal.core import OneTwoInstance, Tour, tour_cost
 from tsplocal.core.rand import (
     line_metric,
+    random_graph_instance,
     random_metric_instance,
     random_one_two_instance,
     random_tour,
 )
 from tsplocal.certify import held_karp
 from tsplocal.localsearch import (
-    AlternatingWalk,
     apply_improv_move,
     apply_kmove,
     find_improving_improv_move,
     find_improving_kmove,
-    gain,
-    is_proper,
     k_improv,
     k_lin_kernighan_params,
     k_opt,
     lin_kernighan,
     tour_to_two_matching,
     two_matching_to_tour,
-    validate_alternating,
 )
 
 from oracles import (
@@ -34,49 +31,10 @@ from oracles import (
 )
 
 
-class TestGain:
-    def test_direct_formula(self):
-        inst = line_metric([0, 5, 8])  # c(0,1)=5, c(1,2)=3
-        assert gain(inst, (0, 1, 2)) == 5 - 3 == 2
-
-    def test_zero_gain(self):
-        inst = line_metric([0, 5, 10])
-        # tour edge cost 5, non-tour edge cost 5
-        assert gain(inst, (0, 1, 2)) == 0
-
-    def test_matches_term_by_term_oracle(self):
-        inst = random_metric_instance(9, seed=4)
-        walk = (3, 7, 1, 5, 8)
-        expected = (
-            inst.c(3, 7) - inst.c(7, 1) + inst.c(1, 5) - inst.c(5, 8)
-        )
-        assert gain(inst, walk) == expected
-
-    def test_validation_against_tour(self):
-        inst = random_metric_instance(6, seed=1)
-        tour = Tour([0, 1, 2, 3, 4, 5])
-        gain(inst, (0, 1, 3), tour)  # (0,1) on tour, (1,3) not: fine
-        with pytest.raises(ValueError):
-            gain(inst, (0, 2, 4), tour)  # (0,2) is not a tour edge
-        with pytest.raises(ValueError):
-            gain(inst, (0, 1, 2), tour)  # (1,2) is a tour edge
-
-    def test_alternating_walk_needs_even_edges(self):
-        with pytest.raises(ValueError):
-            AlternatingWalk((0, 1))
-
-
 class TestIsProper:
-    def test_single_improving_step(self):
-        inst = line_metric([0, 5, 8])
-        assert is_proper(inst, (0, 1, 2)) is True
-
-    def test_zero_first_step_fails_strictness(self):
-        inst = line_metric([0, 5, 10])
-        assert is_proper(inst, (0, 1, 2)) is False
-
     def test_every_improving_closed_walk_has_proper_rotation(self):
-        # textbook fact: improving closed walks admit a proper rotation
+        # textbook fact behind the Lin-Kernighan gain criterion: an improving
+        # closed alternating walk has a rotation whose every even prefix gains
         for seed in range(8):
             inst = random_metric_instance(8, seed=seed)
             tour = random_tour(8, seed=seed + 100)
@@ -90,18 +48,30 @@ class TestIsProper:
                     rotations.append(rot)
                     rotations.append(rot[::-1])
                 ok = any(
-                    _alternates(inst, tour, rot) and is_proper(inst, rot)
+                    _alternates(tour, rot) and _gains_stay_positive(inst, rot)
                     for rot in rotations
                 )
                 assert ok, f"no proper rotation for {seq}"
 
 
-def _alternates(inst, tour, seq) -> bool:
-    try:
-        validate_alternating(tour, seq)
-        return True
-    except ValueError:
-        return False
+def _alternates(tour, seq) -> bool:
+    """Edge t (1-based) of the walk lies on the tour exactly for odd t."""
+    edges = tour.edge_set()
+    return all(
+        (frozenset((seq[t - 1], seq[t])) in edges) == (t % 2 == 1)
+        for t in range(1, len(seq))
+    )
+
+
+def _gains_stay_positive(inst, seq) -> bool:
+    """Tour-edge minus non-tour-edge cost is > 0 after every even prefix."""
+    total = 0
+    for t in range(1, len(seq)):
+        c = inst.c(seq[t - 1], seq[t])
+        total += c if t % 2 == 1 else -c
+        if t % 2 == 0 and total <= 0:
+            return False
+    return True
 
 
 class TestFindImprovingKMove:
@@ -128,6 +98,30 @@ class TestFindImprovingKMove:
                 ours = find_improving_kmove(inst, tour, k) is not None
                 brute = brute_has_improving_kmove(inst, tour, k)
                 assert ours == brute, (seed, k)
+
+    @pytest.mark.parametrize("family", ["metric", "graph", "one-two"])
+    def test_every_returned_move_is_a_proper_reconnection(self, family):
+        # the scan keeps no filter on its hits: each move it returns along a
+        # k-Opt trajectory must already be a disjoint, tour-closing exchange
+        for n in range(4, 15):
+            if family == "metric":
+                inst = random_metric_instance(n, seed=n, max_cost=8)
+            elif family == "graph":
+                inst = random_graph_instance(n, 5, seed=n)
+            else:
+                inst = random_one_two_instance(n, seed=n, unit_prob=0.3)
+            start = random_tour(n, seed=n + 50)
+            starts = [start, k_opt(inst, start, 2), k_opt(inst, start, 3)]
+            for tour0 in starts:
+                for k in (2, 3, 4):
+                    tour = tour0
+                    while (move := find_improving_kmove(inst, tour, k)) is not None:
+                        edges = tour.edge_set()
+                        assert move.removed and move.removed <= edges
+                        assert len(move.added) == len(move.removed)
+                        assert all(len(e) == 2 for e in move.added)
+                        assert not move.added & edges
+                        tour = apply_kmove(inst, tour, move)
 
 
 class TestKOpt:
