@@ -13,8 +13,6 @@ from .analyzer import (
 from .exact import HELD_KARP_LIMIT, double_tree_bound, held_karp, minimum_spanning_tree
 from .improv_cert import ImprovCertificate, verify_k_improv_optimal
 from .kopt_cert import BudgetExceededError, OptimalityCertificate, verify_k_optimal
-from .report import render_g2_certificate, render_length_classes
-from .subedge import find_subedge_improving_2move, fixed_shortest_path
 
 __all__ = [
     "BudgetExceededError",
@@ -32,13 +30,9 @@ __all__ = [
     "double_tree_bound",
     "extract_improving_move",
     "find_improving_alternating_cycle",
-    "find_subedge_improving_2move",
-    "fixed_shortest_path",
     "held_karp",
     "length_class_report",
     "minimum_spanning_tree",
-    "render_g2_certificate",
-    "render_length_classes",
     "verify_k_improv_optimal",
     "verify_k_optimal",
 ]

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.instance import Instance
-from ..core.tour import Tour, hamiltonian_order, tour_cost
+from ..core.tour import KMove, Tour, apply_kmove, hamiltonian_order, tour_cost
 from ..extremal.graph import SimpleGraph, shortest_cycle
-from ..localsearch.moves import KMove, apply_kmove
 
 
 # -- length classes ----------------------------------------------------------
@@ -104,7 +103,6 @@ class ContractionMap:
 
     arc_count: int
     arc_of: tuple[int, ...]
-    positions: tuple[int, ...]
 
     def near(self, u: int, v: int) -> bool:
         return self.arc_of[u] == self.arc_of[v]
@@ -133,7 +131,7 @@ def contraction_map(
     M = arc_count(k, l)
     # vertex at position p lies on arc floor(p*M/L)
     arc_of = tuple((p * M) // L for p in pos)
-    return ContractionMap(M, arc_of, tuple(pos))
+    return ContractionMap(M, arc_of)
 
 
 # -- the contracted multigraphs ---------------------------------------------

@@ -15,8 +15,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.tour import Tour, tour_cost
-from ..localsearch.moves import KMove, apply_kmove
+from ..core.tour import KMove, Tour, apply_kmove, tour_cost
 
 
 class BudgetExceededError(RuntimeError):

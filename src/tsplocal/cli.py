@@ -23,13 +23,14 @@ from .adversarial import (
     write_bundle,
 )
 from .certify import (
+    HELD_KARP_LIMIT,
     build_g2,
     held_karp,
     length_class_report,
     verify_k_improv_optimal,
     verify_k_optimal,
 )
-from .core import read_instance, tour_cost, write_instance, write_tour
+from .core import read_instance, read_tour, tour_cost
 from .core.rand import random_metric_instance, random_tour
 from .extremal import load_cage
 from .localsearch import (
@@ -108,7 +109,7 @@ def cmd_solve(args) -> int:
             "start_cost": tour_cost(inst, start),
             "final_cost": tour_cost(inst, out),
         }
-        if args.n <= 18:
+        if args.n <= HELD_KARP_LIMIT:
             _, opt = held_karp(inst)
             row["optimum"] = opt
             row.update(_ratio_fields(row["final_cost"], opt))
@@ -131,8 +132,6 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     with open(args.instance, "rb") as fh:
         instance = read_instance(fh.read(), args.format)
-    from .core import read_tour
-
     with open(args.tour, "rb") as fh:
         tour = read_tour(fh.read())
     if args.mode == "k-opt":

@@ -7,8 +7,6 @@ across workers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from ..extremal.graph import SimpleGraph
@@ -26,13 +24,13 @@ class MetricInstance:
 
     __slots__ = ("n", "cost")
 
-    def __init__(self, cost, *, dense_limit: int = DEFAULT_DENSE_LIMIT):
+    def __init__(self, cost):
         mat = np.asarray(cost)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("cost matrix must be square")
-        if mat.shape[0] > dense_limit:
+        if mat.shape[0] > DEFAULT_DENSE_LIMIT:
             raise ValueError(
-                f"n={mat.shape[0]} exceeds dense storage limit {dense_limit}"
+                f"n={mat.shape[0]} exceeds dense storage limit {DEFAULT_DENSE_LIMIT}"
             )
         if not np.issubdtype(mat.dtype, np.integer):
             if np.issubdtype(mat.dtype, np.floating) and np.all(mat == np.floor(mat)):
@@ -50,17 +48,6 @@ class MetricInstance:
         self.n = int(mat.shape[0])
         self.cost = mat
 
-    @classmethod
-    def from_rationals(cls, cost) -> "MetricInstance":
-        """Scale a rational/float matrix by the lcm of denominators and ingest."""
-        rows = [[Fraction(x).limit_denominator(10**9) for x in row] for row in cost]
-        denom = 1
-        for row in rows:
-            for x in row:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        scaled = [[int(x * denom) for x in row] for row in rows]
-        return cls(scaled)
-
     def c(self, u: int, v: int) -> int:
         return int(self.cost[u, v])
 
@@ -76,12 +63,6 @@ class MetricInstance:
 
     def __repr__(self) -> str:
         return f"MetricInstance(n={self.n})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GraphInstance:
@@ -187,27 +168,3 @@ def validate_metric(matrix) -> list[tuple[int, int, int]]:
         bad_z, bad_y = np.nonzero(mat[x][:, None] + mat < mat[x])
         violations.extend((x, z, y) for z, y in zip(bad_z.tolist(), bad_y.tolist()))
     return violations
-
-
-def graph_metric(graph: SimpleGraph) -> GraphInstance:
-    """All-pairs hop distances of a connected graph, as a TSP instance."""
-    return GraphInstance(graph)
-
-
-def duplicate_vertex(instance: MetricInstance, v: int) -> MetricInstance:
-    """Append a zero-distance copy of vertex v.
-
-    The copy v' gets c(v,v') = 0 and c(v',w) = c(v,w) for all w; the result
-    is again a metric.
-    """
-    if not (0 <= v < instance.n):
-        raise ValueError(f"vertex {v} out of range")
-    n = instance.n
-    mat = np.zeros((n + 1, n + 1), dtype=np.int64)
-    mat[:n, :n] = instance.cost
-    mat[n, :n] = instance.cost[v]
-    mat[:n, n] = instance.cost[v]
-    mat[n, v] = 0
-    mat[v, n] = 0
-    mat[n, n] = 0
-    return MetricInstance(mat)

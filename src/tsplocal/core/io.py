@@ -102,26 +102,6 @@ def _read_full_matrix(text: str) -> MetricInstance:
     return MetricInstance(mat)
 
 
-# -- edge lists ------------------------------------------------------------
-
-
-def _write_edge_list(n: int, edges: list[tuple[int, int]]) -> bytes:
-    return write_edge_list_text(n, edges).encode("ascii")
-
-
-def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    return read_edge_list_text(text)
-
-
-def write_graph(graph: SimpleGraph) -> bytes:
-    return _write_edge_list(graph.n, graph.edges())
-
-
-def read_graph(data: bytes | str) -> SimpleGraph:
-    n, edges = _read_edge_list(_decode(data))
-    return SimpleGraph(n, edges)
-
-
 # -- public instance API ----------------------------------------------------
 
 
@@ -133,11 +113,11 @@ def write_instance(instance: Instance, format: str) -> bytes:
     if format == "edge-list":
         if not isinstance(instance, GraphInstance):
             raise ValueError("edge-list format requires a GraphInstance")
-        return _write_edge_list(instance.graph.n, instance.graph.edges())
+        return write_edge_list_text(instance.graph.n, instance.graph.edges()).encode("ascii")
     if format == "unit-edge-list":
         if not isinstance(instance, OneTwoInstance):
             raise ValueError("unit-edge-list format requires a OneTwoInstance")
-        return _write_edge_list(instance.n, instance.unit_edges())
+        return write_edge_list_text(instance.n, instance.unit_edges()).encode("ascii")
     raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
 
 
@@ -146,10 +126,10 @@ def read_instance(data: bytes | str, format: str) -> Instance:
     if format == "full-matrix":
         return _read_full_matrix(text)
     if format == "edge-list":
-        n, edges = _read_edge_list(text)
+        n, edges = read_edge_list_text(text)
         return GraphInstance(SimpleGraph(n, edges))
     if format == "unit-edge-list":
-        n, edges = _read_edge_list(text)
+        n, edges = read_edge_list_text(text)
         return OneTwoInstance(n, edges)
     raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
 

@@ -1,8 +1,12 @@
-"""Tours: cyclic vertex permutations with a fixed orientation."""
+"""Tours: cyclic vertex permutations with a fixed orientation, and k-moves on them."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .instance import Instance
+
+UEdge = frozenset[int]
 
 
 class Tour:
@@ -131,3 +135,34 @@ def tour_from_edge_set(edges, n: int) -> Tour:
     if order is None:
         raise ValueError("edge set is not a single Hamiltonian cycle on 0..n-1")
     return Tour(order)
+
+
+@dataclass(frozen=True)
+class KMove:
+    """Replace `removed` tour edges by `added` edges; delta is the cost change.
+
+    Applying a move to its source tour yields a valid tour whose cost differs
+    by exactly delta = cost(added) - cost(removed).
+    """
+
+    removed: frozenset[UEdge]
+    added: frozenset[UEdge]
+    delta: int
+
+    def size(self) -> int:
+        return len(self.removed)
+
+
+def apply_kmove(instance: Instance, tour: Tour, move: KMove) -> Tour:
+    """Apply the move, re-deriving and checking cost from scratch."""
+    edges = set(tour.edge_set())
+    if not move.removed <= edges:
+        raise ValueError("move removes edges not on the tour")
+    if move.added & edges:
+        raise ValueError("move adds edges already on the tour")
+    edges -= move.removed
+    edges |= move.added
+    new_tour = tour_from_edge_set(edges, tour.n)
+    if tour_cost(instance, new_tour) - tour_cost(instance, tour) != move.delta:
+        raise ValueError("move delta does not match re-evaluated costs")
+    return new_tour

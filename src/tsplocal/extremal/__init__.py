@@ -1,6 +1,6 @@
 from .cages import CATALOG, build_catalog_files, generate_cage, load_cage
 from .coloring import bipartite_edge_coloring
-from .euler import eulerian_subgraph, eulerian_walk
+from .euler import eulerian_walk
 from .exsearch import EX_VERTEX_LIMIT, alon_upper_bound_holds, ex_bruteforce
 from .generate import GirthRepairError, bipartite_double_cover, regular_high_girth
 from .graph import SimpleGraph, girth, shortest_cycle
@@ -14,7 +14,6 @@ __all__ = [
     "bipartite_double_cover",
     "bipartite_edge_coloring",
     "build_catalog_files",
-    "eulerian_subgraph",
     "eulerian_walk",
     "ex_bruteforce",
     "generate_cage",

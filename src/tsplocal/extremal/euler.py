@@ -1,8 +1,6 @@
-"""Eulerian walks and dense Eulerian subgraphs."""
+"""Eulerian walks (Hierholzer): the marking walk of the Graph TSP construction."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .graph import SimpleGraph
 
@@ -45,101 +43,3 @@ def eulerian_walk(graph: SimpleGraph) -> list[int]:
     if len(walk) != graph.num_edges() + 1 or walk[0] != walk[-1]:
         raise AssertionError("Hierholzer produced an invalid walk")
     return walk[:-1]
-
-
-def _first_dfs_cycle(adj: list[set[int]], n: int) -> list[int] | None:
-    """Lexicographically-first DFS cycle, as a vertex list; None if forest.
-
-    Iterative DFS with gray/black coloring: in an undirected DFS every
-    non-tree edge from the active vertex to a gray vertex closes a cycle
-    along the parent chain.
-    """
-    color = [0] * n  # 0 white, 1 gray, 2 black
-    parent = [-2] * n
-    for root in range(n):
-        if color[root] != 0 or not adj[root]:
-            continue
-        color[root] = 1
-        parent[root] = -1
-        stack = [(root, iter(sorted(adj[root])))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent[v]:
-                    continue
-                if color[w] == 1:
-                    cyc = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cyc.append(x)
-                    return cyc
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return None
-
-
-def eulerian_subgraph(graph: SimpleGraph) -> SimpleGraph:
-    """Connected even-degree subgraph with edge/vertex ratio >= (|E|+1)/|V| - 1.
-
-    Cycle peeling: repeatedly remove a cycle from the input and collect it;
-    the peeled edges form components with all degrees even, and one of them
-    meets the ratio bound. A single vertex with no edges is the degenerate
-    answer when the bound is <= 0 (forests).
-    """
-    if graph.n == 0:
-        raise ValueError("empty graph")
-    adj = [set(a) for a in graph.adj]
-    peeled: list[set[int]] = [set() for _ in range(graph.n)]
-    while True:
-        cyc = _first_dfs_cycle(adj, graph.n)
-        if cyc is None:
-            break
-        k = len(cyc)
-        for i in range(k):
-            u, v = cyc[i], cyc[(i + 1) % k]
-            adj[u].discard(v)
-            adj[v].discard(u)
-            peeled[u].add(v)
-            peeled[v].add(u)
-
-    # best component of the peeled graph by edge/vertex ratio
-    seen = [False] * graph.n
-    best_ratio = Fraction(-1)
-    best: list[int] | None = None
-    for s in range(graph.n):
-        if seen[s] or not peeled[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in peeled[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        m = sum(len(peeled[v]) for v in comp) // 2
-        ratio = Fraction(m, len(comp))
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best = sorted(comp)
-    if best is None:
-        return SimpleGraph(1)  # forest: single vertex, ratio 0
-    index = {v: i for i, v in enumerate(best)}
-    edges = [
-        (index[u], index[v])
-        for u in best
-        for v in peeled[u]
-        if v in index and u < v
-    ]
-    return SimpleGraph(len(best), edges)

@@ -70,11 +70,6 @@ class SimpleGraph:
                 hi = mid
         return lo < len(a) and a[lo] == v
 
-    def copy(self) -> "SimpleGraph":
-        g = SimpleGraph(self.n)
-        g.adj = [list(a) for a in self.adj]
-        return g
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SimpleGraph)

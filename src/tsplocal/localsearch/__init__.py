@@ -1,3 +1,4 @@
+from ..core.tour import KMove, apply_kmove
 from .improv import (
     IMPROV_K_CAP,
     ImprovMove,
@@ -10,7 +11,7 @@ from .improv import (
     two_matching_to_tour,
 )
 from .lk import k_lin_kernighan_params, lin_kernighan
-from .moves import KMove, apply_kmove, find_improving_kmove, k_opt
+from .moves import find_improving_kmove, k_opt
 
 __all__ = [
     "IMPROV_K_CAP",

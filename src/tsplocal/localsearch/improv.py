@@ -111,30 +111,23 @@ def two_matching_to_tour(
         adj[u].add(v)
         adj[v].add(u)
 
-    # walk out every component; cycles get a random edge removed
+    # singletons and paths first, each walked from its smaller end; every
+    # vertex left then lies on a cycle, walked from its smallest vertex and
+    # cut at a random edge
     seen = [False] * instance.n
     paths: list[list[int]] = []
     for s in range(instance.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        if not adj[s]:
-            paths.append([s])
-            continue
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        endpoints = sorted(v for v in comp if len(adj[v]) == 1)
-        if endpoints:
-            paths.append(walk(adj, endpoints[0]))
-        else:
-            paths.append(_break_cycle(walk(adj, min(comp)), rng))
+        if not seen[s] and len(adj[s]) < 2:
+            path = walk(adj, s) if adj[s] else [s]
+            for v in path:
+                seen[v] = True
+            paths.append(path)
+    for s in range(instance.n):
+        if not seen[s]:
+            cycle = walk(adj, s)
+            for v in cycle:
+                seen[v] = True
+            paths.append(_break_cycle(cycle, rng))
     order = _chain_paths(paths, rng)
     tour = Tour(order)
     cost = tour_cost(instance, tour)

@@ -2,48 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
 
 from ..core.instance import Instance, OneTwoInstance
-from ..core.tour import Tour, tour_cost, tour_from_edge_set
-
-UEdge = frozenset[int]
-
-
-@dataclass(frozen=True)
-class KMove:
-    """Replace `removed` tour edges by `added` edges; delta is the cost change.
-
-    Applying a move to its source tour yields a valid tour whose cost differs
-    by exactly delta = cost(added) - cost(removed).
-    """
-
-    removed: frozenset[UEdge]
-    added: frozenset[UEdge]
-    delta: int
-
-    def size(self) -> int:
-        return len(self.removed)
-
-
-def apply_kmove(instance: Instance, tour: Tour, move: KMove) -> Tour:
-    """Apply the move, re-deriving and checking cost from scratch."""
-    edges = set(tour.edge_set())
-    if not move.removed <= edges:
-        raise ValueError("move removes edges not on the tour")
-    if move.added & edges:
-        raise ValueError("move adds edges already on the tour")
-    edges -= move.removed
-    edges |= move.added
-    new_tour = tour_from_edge_set(edges, tour.n)
-    if tour_cost(instance, new_tour) - tour_cost(instance, tour) != move.delta:
-        raise ValueError("move delta does not match re-evaluated costs")
-    return new_tour
-
+from ..core.tour import KMove, Tour, apply_kmove, tour_cost
 
 # (tuple, template, pair) entries costed in one numpy step. Each temporary then
 # stays at 64 KiB, so large k or n run in small memory and the arrays come from

@@ -9,8 +9,6 @@ from tsplocal.core import (
     OneTwoInstance,
     ParseError,
     Tour,
-    duplicate_vertex,
-    graph_metric,
     hamiltonian_order,
     read_instance,
     read_tour,
@@ -117,7 +115,7 @@ class TestValidateMetric:
             assert validate_metric(mat) == expected
 
     def test_petersen_bfs_metric_ok(self):
-        inst = graph_metric(petersen())
+        inst = GraphInstance(petersen())
         # exhaustive recheck
         n = inst.n
         for x in range(n):
@@ -138,48 +136,23 @@ class TestValidateMetric:
 class TestGraphMetric:
     def test_path_graph(self):
         g = SimpleGraph(3, [(0, 1), (1, 2)])
-        assert graph_metric(g).c(0, 2) == 2
+        assert GraphInstance(g).c(0, 2) == 2
 
     def test_cycle_antipodal(self):
         g = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
-        inst = graph_metric(g)
+        inst = GraphInstance(g)
         assert int(inst.cost.max()) == 3
 
     def test_cage_against_floyd_warshall(self):
         g = symplectic_quadrangle_incidence(3)  # the (4,8) cage
-        inst = graph_metric(g)
+        inst = GraphInstance(g)
         fw = floyd_warshall(g)
         for u in range(g.n):
             assert [int(x) for x in inst.cost[u]] == fw[u]
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            graph_metric(SimpleGraph(4, [(0, 1), (2, 3)]))
-
-
-class TestDuplicateVertex:
-    def test_zero_distance_copy(self):
-        inst = MetricInstance([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
-        dup = duplicate_vertex(inst, 1)
-        assert dup.n == 4
-        assert dup.c(1, 3) == 0
-        assert dup.c(3, 0) == inst.c(1, 0)
-        assert validate_metric(dup.cost) == []
-
-    def test_twice_gives_mutual_zero_pair(self):
-        inst = MetricInstance([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
-        dup2 = duplicate_vertex(duplicate_vertex(inst, 0), 0)
-        assert dup2.c(3, 4) == 0 and dup2.c(0, 3) == 0 and dup2.c(0, 4) == 0
-
-    def test_held_karp_value_preserved(self):
-        from tsplocal.certify import held_karp
-
-        for seed in (2, 5, 9):
-            inst = random_metric_instance(7, seed=seed)
-            _, before = held_karp(inst)
-            dup = duplicate_vertex(inst, seed % 7)
-            _, after = held_karp(dup)
-            assert before == after
+            GraphInstance(SimpleGraph(4, [(0, 1), (2, 3)]))
 
 
 class TestIO:
@@ -236,10 +209,6 @@ class TestIO:
 
 
 class TestRationalIngestion:
-    def test_scaling(self):
-        inst = MetricInstance.from_rationals([[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]])
-        assert inst.c(0, 1) == 1 and inst.c(0, 2) == 2
-
     def test_non_integer_rejected_directly(self):
         with pytest.raises(ValueError, match="integers"):
             MetricInstance(np.array([[0.0, 0.5], [0.5, 0.0]]))

@@ -8,7 +8,6 @@ from tsplocal.extremal import (
     alon_upper_bound_holds,
     bipartite_double_cover,
     bipartite_edge_coloring,
-    eulerian_subgraph,
     eulerian_walk,
     ex_bruteforce,
     generate_cage,
@@ -25,10 +24,6 @@ from oracles import brute_ex, girth_by_edge_deletion
 
 def cycle_graph(n):
     return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestGirth:
@@ -234,36 +229,6 @@ class TestEuler:
         g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(ValueError, match="connected"):
             eulerian_walk(g)
-
-
-class TestEulerianSubgraph:
-    def test_c4_is_its_own_answer(self):
-        sub = eulerian_subgraph(cycle_graph(4))
-        assert sub.n == 4 and sub.num_edges() == 4
-
-    def test_tree_gives_single_vertex(self):
-        sub = eulerian_subgraph(SimpleGraph(4, [(0, 1), (1, 2), (2, 3)]))
-        assert sub.n == 1 and sub.num_edges() == 0
-
-    def test_k5_ratio_bound(self):
-        from fractions import Fraction
-
-        g = complete_graph(5)
-        sub = eulerian_subgraph(g)
-        assert all(d % 2 == 0 for d in sub.degrees())
-        assert sub.is_connected()
-        assert Fraction(sub.num_edges(), sub.n) >= Fraction(11, 5) - 1
-
-    def test_ratio_bound_on_random_graphs(self):
-        from fractions import Fraction
-
-        for seed in range(10):
-            g = random_connected_graph(9, 7, seed=seed)
-            sub = eulerian_subgraph(g)
-            assert all(d % 2 == 0 for d in sub.degrees())
-            assert sub.is_connected() or sub.n == 1
-            bound = Fraction(g.num_edges() + 1, g.n) - 1
-            assert Fraction(sub.num_edges(), max(sub.n, 1)) >= bound
 
 
 class TestEdgeColoring:

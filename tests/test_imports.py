@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import tsplocal
 
@@ -19,3 +21,27 @@ def test_package_imports_without_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def _imports_localsearch(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [("." * node.level) + (node.module or "")]
+            names += [f"{names[0]}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any("localsearch" in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_certifiers_do_not_import_the_search():
+    # A certifier never calls the search it certifies. improv_cert is the one
+    # exception: the 2-matching model (TwoMatching, count_structure) still
+    # lives in localsearch.improv, and perfbench counts count_structure calls
+    # by wrapping that module's attribute, so moving it changes those counts.
+    certify = Path(tsplocal.__file__).parent / "certify"
+    importers = {p.stem for p in certify.glob("*.py") if _imports_localsearch(p)}
+    assert importers == {"improv_cert"}
