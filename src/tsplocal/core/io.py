@@ -57,12 +57,15 @@ def _write_full_matrix(instance: MetricInstance) -> bytes:
 def _read_full_matrix(text: str) -> MetricInstance:
     dimension = None
     weights: list[int] = []
+    rows: list[tuple[int, int, str]] = []  # (index of first weight, lineno, raw)
     in_section = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line == "EOF":
             continue
         if in_section:
+            rows.append((len(weights), lineno, raw))
             for col, tok in _tokens_with_columns(raw):
                 try:
                     weights.append(int(tok))
@@ -94,11 +97,14 @@ def _read_full_matrix(text: str) -> MetricInstance:
         raise ParseError("missing DIMENSION", 1)
     if len(weights) != dimension * dimension:
         raise ParseError(
-            f"expected {dimension * dimension} weights, got {len(weights)}", 1
+            f"expected {dimension * dimension} weights, got {len(weights)}", len(lines)
         )
     mat = np.array(weights, dtype=np.int64).reshape(dimension, dimension)
-    if not np.array_equal(mat, mat.T):
-        raise ParseError("matrix is not symmetric", 1)
+    asymmetric = np.flatnonzero(np.tril(mat != mat.T))  # later-read weight of each pair
+    if len(asymmetric):
+        first, lineno, raw = next(r for r in reversed(rows) if r[0] <= asymmetric[0])
+        col = list(_tokens_with_columns(raw))[asymmetric[0] - first][0]
+        raise ParseError("matrix is not symmetric", lineno, col)
     return MetricInstance(mat)
 
 
@@ -156,7 +162,8 @@ def read_tour(data: bytes | str) -> Tour:
     order = []
     in_section = False
     done = False
-    for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
+    lines = _decode(data).splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line == "EOF":
             continue
@@ -177,5 +184,5 @@ def read_tour(data: bytes | str) -> Tour:
                 break
             order.append(v - 1)
     if not done:
-        raise ParseError("missing -1 terminator", 1)
+        raise ParseError("missing -1 terminator", max(len(lines), 1))
     return Tour(order)

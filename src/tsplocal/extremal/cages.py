@@ -10,8 +10,8 @@ Every entry is generated from an incidence geometry over a prime field:
   (4,12) incidence graph of the split Cayley hexagon over GF(3)
 
 Generated graphs are shipped as edge-list data files (the external
-interface); the loader prefers an explicit directory, then the
-TSPLOCAL_CAGES environment variable, then package data, then regeneration.
+interface); the loader prefers the directory named by the TSPLOCAL_CAGES
+environment variable, then package data, then regeneration.
 All outputs are re-verified for regularity and girth before being returned.
 """
 
@@ -200,7 +200,7 @@ def generate_cage(delta: int, g: int) -> SimpleGraph:
     return graph
 
 
-def load_cage(delta: int, g: int, directory: str | None = None) -> SimpleGraph:
+def load_cage(delta: int, g: int) -> SimpleGraph:
     """Load a catalog cage, preferring edge-list files over regeneration."""
     key = (delta, g)
     if key not in CATALOG:
@@ -209,8 +209,7 @@ def load_cage(delta: int, g: int, directory: str | None = None) -> SimpleGraph:
         return _cache[key]
     name = CATALOG[key] + ".edges"
     text = None
-    directory = directory or os.environ.get(ENV_VAR)
-    if directory:
+    if directory := os.environ.get(ENV_VAR):
         path = os.path.join(directory, name)
         if os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:

@@ -8,7 +8,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from ..core.instance import Instance, OneTwoInstance
-from ..core.tour import KMove, Tour, apply_kmove, tour_cost
+from ..core.tour import KMove, Tour, apply_kmove
 
 # (tuple, template, pair) entries costed in one numpy step. Each temporary then
 # stays at 64 KiB, so large k or n run in small memory and the arrays come from
@@ -154,17 +154,14 @@ def find_improving_kmove(instance: Instance, tour: Tour, k: int) -> KMove | None
 def k_opt(instance: Instance, tour: Tour, k: int) -> Tour:
     """Iterate improving k-moves to a fixed point.
 
-    Every applied move strictly decreases the (integer) cost, so the loop
-    terminates.
+    Every applied move strictly decreases the (integer) cost, which
+    `apply_kmove` re-derives, so the loop terminates.
     """
     current = tour
-    cost = tour_cost(instance, current)
     while True:
         move = find_improving_kmove(instance, current, k)
         if move is None:
             return current
         current = apply_kmove(instance, current, move)
-        new_cost = tour_cost(instance, current)
-        if new_cost >= cost:
+        if move.delta >= 0:
             raise AssertionError("k-move failed to decrease cost")
-        cost = new_cost

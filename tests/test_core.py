@@ -190,8 +190,31 @@ class TestIO:
             "DIMENSION : 2\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
             "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1\n2 0\nEOF\n"
         )
-        with pytest.raises(ParseError, match="symmetric"):
+        with pytest.raises(ParseError, match="symmetric") as err:
             read_instance(text, "full-matrix")
+        assert (err.value.line, err.value.column) == (6, 1)
+        # Pairs {0,3} and {1,2} both differ. (2,1) is read before (3,0), so the
+        # error names (2,1) although (0,3) comes first above the diagonal.
+        text = (
+            "DIMENSION : 4\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+            "0 1 1 9\n1 0 1 1\n1  7 0 1\n1 1 1 0\nEOF\n"
+        )
+        with pytest.raises(ParseError, match="symmetric") as err:
+            read_instance(text, "full-matrix")
+        assert (err.value.line, err.value.column) == (7, 4)
+
+    def test_truncated_input_names_last_line(self):
+        matrix = (
+            "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\n1 0\nEOF\n"
+        )
+        with pytest.raises(ParseError, match="expected 9 weights, got 5") as err:
+            read_instance(matrix, "full-matrix")
+        assert err.value.line == 7
+        with pytest.raises(ParseError, match="terminator") as err:
+            read_tour("TOUR_SECTION\n1\n2\n3\n")
+        assert err.value.line == 4
 
     def test_tour_roundtrip_canonical(self):
         t = Tour([3, 1, 0, 2, 4])

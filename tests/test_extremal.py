@@ -102,6 +102,32 @@ class TestExBruteforce:
             ex_bruteforce(10, 4)
 
 
+# ex(n, g) for n = 3..8, recorded from the earlier float MILP implementation
+# (scipy.optimize.milp). The g=5 row, with ex(9, 5) = 12, is the table of
+# Garnick, Kwong & Lazebnik, "Extremal graphs without three-cycles or
+# four-cycles", J. Graph Theory 1993.
+EX_TABLE = {
+    4: [2, 4, 6, 9, 12, 16],
+    5: [2, 3, 5, 6, 8, 10],
+    6: [2, 3, 4, 6, 7, 9],
+    7: [2, 3, 4, 5, 7, 8],
+    8: [2, 3, 4, 5, 6, 8],
+}
+
+
+class TestExTable:
+    @pytest.mark.parametrize("g", sorted(EX_TABLE))
+    def test_recorded_values(self, g):
+        for n, expected in enumerate(EX_TABLE[g], start=3):
+            value, witness = ex_bruteforce(n, g)
+            assert value == expected == witness.num_edges()
+            assert witness.n == n and girth(witness) >= g
+
+    def test_nine_vertices_girth_five(self):
+        value, witness = ex_bruteforce(9, 5)
+        assert value == 12 and girth(witness) >= 5
+
+
 class TestRegularHighGirth:
     def test_two_regular_is_cycle(self):
         g = regular_high_girth(2, 5, seed=0)
