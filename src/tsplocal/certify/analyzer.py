@@ -207,14 +207,16 @@ def _derandomized_coloring(
 
 
 def _multigraph_girth_with_cycle(
-    num_vertices: int, arcs: list[tuple[int, int, int]]
+    arcs: list[tuple[int, int, int]],
 ) -> tuple[float, list[tuple[int, int, int]] | None, list[int] | None]:
     """Girth of the underlying multigraph plus one shortest cycle.
 
     A parallel pair is a 2-cycle, else the distinct pairs form a simple graph
-    and `shortest_cycle` gives the girth. The cycle comes back as its arc
-    triples in cyclic order together with its vertex sequence w_0..w_{r-1},
-    where edge j joins w_j and w_{j+1 mod r}.
+    and `shortest_cycle` gives the girth. That graph spans only the vertices
+    the arcs meet, relabelled 0..m-1 in increasing order, which keeps
+    `shortest_cycle`'s root and neighbour order. The cycle comes back as its
+    arc triples in cyclic order together with its vertex sequence
+    w_0..w_{r-1}, where edge j joins w_j and w_{j+1 mod r}.
     """
     by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for t, h, lab in arcs:
@@ -225,9 +227,14 @@ def _multigraph_girth_with_cycle(
         if len(by_pair[pair]) >= 2:
             a, b = pair
             return 2, by_pair[pair][:2], [a, b]
-    best, cycle_vertices = shortest_cycle(SimpleGraph(num_vertices, list(by_pair)))
-    if cycle_vertices is None:
+    met = sorted({v for pair in by_pair for v in pair})
+    label = {v: i for i, v in enumerate(met)}
+    best, cycle = shortest_cycle(
+        SimpleGraph(len(met), [(label[a], label[b]) for a, b in by_pair])
+    )
+    if cycle is None:
         return best, None, None
+    cycle_vertices = [met[i] for i in cycle]
     L = len(cycle_vertices)
     cycle_arcs = []
     for i in range(L):
@@ -278,9 +285,7 @@ def build_g2(
         raise AssertionError(
             f"coloring retained {retained} < ceil({q_l}/4) class edges"
         )
-    girth_value, cycle, cycle_arcs = _multigraph_girth_with_cycle(
-        cmap.arc_count, g2
-    )
+    girth_value, cycle, cycle_arcs = _multigraph_girth_with_cycle(g2)
     violation = cycle is not None and girth_value < 2 * k
     return G2Certificate(
         k=k,

@@ -81,6 +81,8 @@ def _read_full_matrix(text: str) -> MetricInstance:
                     dimension = int(value)
                 except ValueError:
                     raise ParseError(f"bad DIMENSION {value!r}", lineno) from None
+                if dimension < 0:
+                    raise ParseError(f"negative DIMENSION {dimension}", lineno)
             elif key == "TYPE" and value.upper() != "TSP":
                 raise ParseError(f"unsupported TYPE {value!r}", lineno)
             elif key == "EDGE_WEIGHT_TYPE" and value.upper() != "EXPLICIT":

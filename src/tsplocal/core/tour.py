@@ -124,6 +124,65 @@ def hamiltonian_order(edges, n: int) -> list[int] | None:
     return order if len(order) == n else None
 
 
+def exchange_closes(order, pos, edges) -> bool:
+    """Whether T triangle W is one Hamiltonian cycle, without rebuilding it.
+
+    T is the tour `order` on n >= 3 vertices, `pos[v]` is v's index in it, and
+    W is a set of 2-element edges on 0..n-1. The answer equals
+    `hamiltonian_order(T triangle W, n) is not None` and costs
+    O(|W| log |W|), the sequential-exchange test of Lin & Kernighan (1973).
+
+    The tour edges of W are removed, the others added. Every vertex keeps
+    degree 2 iff each one meets as many removed as added edges. Then the
+    m removed edges cut the tour into m segments, a segment whose two cuts
+    are adjacent being one vertex, and the result is one cycle iff the walk
+    that runs along a segment and leaves its far end by an added edge
+    passes all m segments before it returns.
+    """
+    n = len(order)
+    cuts: list[int] = []  # p for each removed tour edge (order[p], order[p+1])
+    added: dict[int, list[int]] = {}
+    balance: dict[int, int] = {}
+    for e in edges:
+        u, v = e
+        step = (pos[v] - pos[u]) % n
+        if step == 1 or step == n - 1:
+            cuts.append(pos[u] if step == 1 else pos[v])
+            delta = -1
+        else:
+            added.setdefault(u, []).append(v)
+            added.setdefault(v, []).append(u)
+            delta = 1
+        balance[u] = balance.get(u, 0) + delta
+        balance[v] = balance.get(v, 0) + delta
+    if any(balance.values()):
+        return False
+    if not cuts:
+        return True
+    cuts.sort()
+    m = len(cuts)
+    # segment j runs along the tour from order[cuts[j] + 1] to order[cuts[j + 1]]
+    other_end: dict[int, int] = {}
+    for j in range(m):
+        head = order[(cuts[j] + 1) % n]
+        tail = order[cuts[(j + 1) % m]]
+        other_end[head] = tail
+        other_end[tail] = head
+    start = order[(cuts[0] + 1) % n]
+    prev, v = -1, start
+    for seen in range(1, m + 1):
+        end = other_end[v]
+        if end == v:  # a one-vertex segment: leave by the other added edge
+            a, b = added[v]
+            nxt = b if a == prev else a
+        else:
+            (nxt,) = added[end]
+        prev, v = end, nxt
+        if v == start:
+            return seen == m
+    return False
+
+
 def tour_from_edge_set(edges, n: int) -> Tour:
     """The Tour of an n-edge set forming a single Hamiltonian cycle.
 

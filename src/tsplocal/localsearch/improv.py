@@ -45,38 +45,37 @@ class TwoMatching:
 
 
 def count_structure(n: int, edges: frozenset[UEdge]) -> tuple[int, int, int]:
-    """(components, cycles, singletons) of a max-degree-2 edge set."""
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """(components, cycles, singletons) of a max-degree-2 edge set.
+
+    One union-find pass over the edges, with path halving. In a graph of
+    maximum degree 2 every component is a path or a cycle, and a cycle is
+    exactly a component with as many edges as vertices. So each component
+    has at most one edge whose ends the earlier edges already joined, and it
+    has one iff it is a cycle: cycles are the edges that find both ends in
+    one set. Every other edge joins two sets, so
+    components = n - |E| + cycles, and singletons are the vertices of
+    degree 0.
+    """
+    parent = list(range(n))
+    degree = [0] * n
+    cycles = 0
     for e in edges:
-        u, v = tuple(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(a) > 2 for a in adj):
-        raise ValueError("edge set exceeds degree 2")
-    seen = [False] * n
-    components = cycles = singletons = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        components += 1
-        if not adj[s]:
-            singletons += 1
-            continue
-        size = 1
-        deg_sum = len(adj[s])
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    size += 1
-                    deg_sum += len(adj[w])
-                    stack.append(w)
-        if deg_sum == 2 * size:  # all degree 2: a cycle
+        u, v = e
+        degree[u] += 1
+        degree[v] += 1
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
             cycles += 1
-    return components, cycles, singletons
+        else:
+            parent[u] = v
+    if max(degree, default=0) > 2:
+        raise ValueError("edge set exceeds degree 2")
+    return n - len(edges) + cycles, cycles, degree.count(0)
 
 
 def _validate_unit(instance: OneTwoInstance, edges) -> None:
@@ -197,7 +196,7 @@ def find_improving_improv_move(
     base_key = tm.key()
     matching_edges = sorted(tm.edges, key=sorted)
     candidate_adds = [
-        frozenset((u, v))
+        (u, v, frozenset((u, v)))
         for u in range(instance.n)
         for v in sorted(instance.unit_adj[u])
         if u < v and frozenset((u, v)) not in tm.edges
@@ -227,18 +226,19 @@ def find_improving_improv_move(
 
 def _dfs_additions(instance, tm, deleted, candidates, cap, num_add, base_key):
     chosen: list[UEdge] = []
+    kept = tm.edges - frozenset(deleted)
+    # caps only rise during the DFS, so an edge at a full vertex never fits
+    live = [c for c in candidates if cap[c[0]] < 2 and cap[c[1]] < 2]
 
     def rec(start: int) -> ImprovMove | None:
         if len(chosen) == num_add:
-            new_edges = (tm.edges - frozenset(deleted)) | frozenset(chosen)
-            key = count_structure(instance.n, new_edges)
+            key = count_structure(instance.n, kept | frozenset(chosen))
             key = (key[0], -key[1], key[2])
             if key < base_key:
                 return ImprovMove(frozenset(deleted), frozenset(chosen))
             return None
-        for idx in range(start, len(candidates)):
-            e = candidates[idx]
-            u, v = tuple(e)
+        for idx in range(start, len(live)):
+            u, v, e = live[idx]
             if cap[u] >= 2 or cap[v] >= 2:
                 continue
             cap[u] += 1

@@ -9,12 +9,22 @@ cost, so the procedure terminates.
 
 Setting p1 = 2k-1, p2 = 2k-4 gives the k-Lin-Kernighan algorithm; k = 3 is
 the classic parameterization (5, 2).
+
+Every closure check asks whether T triangle W is a tour for the walk's edge
+set W. `core.tour.exchange_closes` answers it from the tour's position
+index, built once per pass: the removed tour edges cut T into segments, and
+the walk along the added edges must pass them all. That costs
+O(|W| log |W|) per check instead of O(n) for rebuilding T triangle W.
+Candidate non-tour edges come from one numpy pass over the cost row of the
+walk's end.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.instance import Instance
-from ..core.tour import Tour, hamiltonian_order, tour_cost, tour_from_edge_set
+from ..core.tour import Tour, exchange_closes, tour_cost, tour_from_edge_set
 
 UEdge = frozenset[int]
 
@@ -36,6 +46,9 @@ class _Search:
         self.tour_edges = set(tour.edge_set())
         self.succ = tour.successor()
         self.pred = {v: u for u, v in self.succ.items()}
+        self.pos = [0] * self.n
+        for idx, v in enumerate(tour.order):
+            self.pos[v] = idx
         self.p1 = p1
         self.p2 = p2
 
@@ -86,25 +99,19 @@ class _Search:
     def _extend_nontour(
         self, x: list[int], i: int, gain_i: int, g_star: int
     ) -> list[int]:
-        """Odd depth: fresh non-tour edges (x_i, x) with gain above g*."""
-        inst = self.instance
+        """Odd depth: fresh non-tour edges (x_i, v) with gain above g*."""
         xi = x[i]
-        x0 = x[0]
-        used = set()
-        for t in range(1, i + 1):
-            used.add(frozenset((x[t - 1], x[t])))
-        out = []
-        for v in range(self.n):
-            if v == xi or v == x0:
-                continue
-            e = frozenset((xi, v))
-            if e in self.tour_edges or e in used:
-                continue
-            if gain_i - inst.c(xi, v) > g_star:
-                out.append(v)
+        row = self.instance.cost_row(xi)
+        fresh = row < gain_i - g_star
+        fresh[[xi, x[0], self.pred[xi], self.succ[xi]]] = False
+        for t in range(1, i + 1):  # edges of the walk so far
+            if x[t - 1] == xi:
+                fresh[x[t]] = False
+            if x[t] == xi:
+                fresh[x[t - 1]] = False
+        out = np.flatnonzero(fresh)
         # pop() takes the last entry: order ascending by (gain, -id)
-        out.sort(key=lambda v: (gain_i - inst.c(xi, v), -v))
-        return out
+        return out[np.lexsort((-out, gain_i - row[out]))].tolist()
 
     def _extend_tour(self, x: list[int], i: int, walk_edges: list[UEdge]) -> list[int]:
         """Even depth: tour neighbors; above p2 the walk must stay closable."""
@@ -129,16 +136,8 @@ class _Search:
 
     def _sym_diff_ok(self, closed_walk_edges: list[UEdge]) -> set[UEdge] | None:
         """Edge set of the closed walk if T triangle it is a tour, else None."""
-        diff = set(self.tour_edges)
-        walk = set()
-        for e in closed_walk_edges:
-            walk.add(e)
-        for e in walk:
-            if e in diff:
-                diff.discard(e)
-            else:
-                diff.add(e)
-        if hamiltonian_order(diff, self.n) is not None:
+        walk = set(closed_walk_edges)
+        if exchange_closes(self.tour.order, self.pos, walk):
             return walk
         return None
 

@@ -98,10 +98,46 @@ def brute_ex(n: int, girth_bound: int) -> int:
     return best
 
 
+def dfs_count_structure(n: int, edges) -> tuple[int, int, int]:
+    """(components, cycles, singletons) of a max-degree-2 edge set by DFS.
+
+    A component is a cycle iff all its vertices have degree 2.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        u, v = tuple(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(len(a) > 2 for a in adj):
+        raise ValueError("edge set exceeds degree 2")
+    seen = [False] * n
+    components = cycles = singletons = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        components += 1
+        if not adj[s]:
+            singletons += 1
+            continue
+        size = 1
+        deg_sum = len(adj[s])
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    size += 1
+                    deg_sum += len(adj[w])
+                    stack.append(w)
+        if deg_sum == 2 * size:
+            cycles += 1
+    return components, cycles, singletons
+
+
 def brute_improv_move_exists(instance, tm, k: int) -> bool:
     """Dumb enumeration over all (delete, add) pairs with total size <= k."""
-    from tsplocal.localsearch import count_structure
-
     base = (tm.components, -tm.cycles, tm.singletons)
     current = sorted(tm.edges, key=sorted)
     candidates = [
@@ -127,7 +163,7 @@ def brute_improv_move_exists(instance, tm, k: int) -> bool:
                             break
                     if not ok:
                         continue
-                    c, cy, s = count_structure(instance.n, edges)
+                    c, cy, s = dfs_count_structure(instance.n, edges)
                     if (c, -cy, s) < base:
                         return True
     return False

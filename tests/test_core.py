@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from tsplocal.core import (
     write_tour,
 )
 from tsplocal.core.rand import line_metric, random_metric_instance, random_tour
+from tsplocal.core.tour import exchange_closes
 from tsplocal.extremal import SimpleGraph
 from tsplocal.extremal.cages import petersen, symplectic_quadrangle_incidence
 
@@ -87,6 +91,98 @@ class TestHamiltonianOrder:
         as_sets = tour.edge_set()
         assert hamiltonian_order(tour.edges(), 9) == hamiltonian_order(as_sets, 9)
         assert tour_from_edge_set(as_sets, 9).same_cycle(tour)
+
+
+def _exchange(rng: random.Random, tour: Tour, k: int, adjacent: bool) -> frozenset:
+    """W = T triangle T' for a tour T' that reconnects k cut segments of T."""
+    n = tour.n
+    cuts = set(rng.sample(range(n), k - 1 if adjacent else k))
+    if adjacent:
+        p = rng.choice(sorted(cuts))
+        cuts.add((p + 1) % n)
+        while len(cuts) < k:
+            cuts.add(rng.randrange(n))
+    cuts = sorted(cuts)
+    o = tour.order
+    segments = [
+        [o[(c + 1 + t) % n] for t in range((cuts[(j + 1) % k] - c - 1) % n + 1)]
+        for j, c in enumerate(cuts)
+    ]
+    rng.shuffle(segments)
+    order = [v for seg in segments for v in (seg[::-1] if rng.random() < 0.5 else seg)]
+    return tour.edge_set() ^ Tour(order).edge_set()
+
+
+def _lk_walk(rng: random.Random, tour: Tour, length: int) -> frozenset:
+    """Edges of a closed walk that alternates tour and other edges, as LK builds.
+
+    The closing edge back to x_0 is arbitrary: it may be a tour edge or an
+    edge already on the walk.
+    """
+    succ = tour.successor()
+    pred = {v: u for u, v in succ.items()}
+    x = [rng.randrange(tour.n)]
+    for t in range(length - 1):
+        if t % 2 == 0:
+            x.append(rng.choice((succ[x[-1]], pred[x[-1]])))
+        else:
+            x.append(rng.choice([v for v in range(tour.n) if v != x[-1]]))
+    return frozenset(frozenset(e) for e in zip(x, x[1:] + x[:1]) if e[0] != e[1])
+
+
+class TestExchangeCloses:
+    """The position-based closure test agrees with rebuilding T triangle W."""
+
+    @staticmethod
+    def _agree(tour: Tour, w: frozenset) -> bool:
+        pos = [0] * tour.n
+        for i, v in enumerate(tour.order):
+            pos[v] = i
+        expected = hamiltonian_order(tour.edge_set() ^ w, tour.n) is not None
+        got = exchange_closes(tour.order, pos, w)
+        assert got == expected, (tour, sorted(map(sorted, w)))
+        return expected
+
+    def test_matches_hamiltonian_order(self):
+        rng = random.Random(11)
+        verdicts = Counter()
+        for trial in range(1500):
+            n = rng.randint(3, 30)
+            tour = random_tour(n, seed=trial)
+            tour_edges = sorted(map(sorted, tour.edge_set()))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            mixed = rng.sample(tour_edges, rng.randint(0, min(4, n))) + rng.sample(
+                pairs, rng.randint(0, min(4, n))
+            )
+            verdicts["mixed", self._agree(tour, frozenset(map(frozenset, mixed)))] += 1
+            for k in (2, 3, 4):
+                if k <= n:
+                    w = _exchange(rng, tour, k, adjacent=rng.random() < 0.5)
+                    assert self._agree(tour, w)
+                    # toggling one tour edge in W unbalances it
+                    extra = frozenset(rng.choice(tour_edges))
+                    verdicts["perturbed", self._agree(tour, w ^ {extra})] += 1
+            w = _lk_walk(rng, tour, 2 * rng.randint(1, 4))
+            verdicts["walk", self._agree(tour, w)] += 1
+        assert verdicts["walk", True] > 100 and verdicts["mixed", True] > 10
+        assert verdicts["walk", False] > 100 and verdicts["perturbed", False] > 1000
+
+    def test_adjacent_cuts_and_tour_closing_edge(self):
+        tour = Tour(range(8))
+        e = lambda *pairs: frozenset(frozenset(p) for p in pairs)  # noqa: E731
+        # cuts (1,2) and (2,3) leave vertex 2 alone, and 1-3, 2-5, 2-6 with
+        # cut (5,6) rejoin everything: 0 1 3 4 5 2 6 7
+        assert self._agree(tour, e((1, 2), (2, 3), (5, 6), (1, 3), (2, 5), (2, 6)))
+        # cuts (1,2), (2,3), (4,5), (6,7): one reconnection gives 0 1 5 6 3 4 2 7,
+        # a balanced other one the subtours 2 5 6 and 0 1 3 4 7
+        cuts = ((1, 2), (2, 3), (4, 5), (6, 7))
+        assert self._agree(tour, e(*cuts, (2, 4), (2, 7), (3, 6), (1, 5)))
+        assert not self._agree(tour, e(*cuts, (2, 5), (2, 6), (1, 3), (4, 7)))
+        # an LK walk 0-1 (tour), 1-6, 6-7 (tour) closed by 7-0, a tour edge
+        assert not self._agree(tour, e((0, 1), (1, 6), (6, 7), (7, 0)))
+        # a 2-exchange that reverses 2..5, and the subtour-making reconnection
+        assert self._agree(tour, e((1, 2), (5, 6), (1, 5), (2, 6)))
+        assert not self._agree(tour, e((1, 2), (5, 6), (1, 6), (2, 5)))
 
 
 class TestValidateMetric:
@@ -215,6 +311,13 @@ class TestIO:
         with pytest.raises(ParseError, match="terminator") as err:
             read_tour("TOUR_SECTION\n1\n2\n3\n")
         assert err.value.line == 4
+
+    def test_negative_dimension_names_its_line(self):
+        header = "NAME : neg\nDIMENSION : -2\nEDGE_WEIGHT_SECTION\n"
+        for weights in ("", "0 1\n1 0\n"):
+            with pytest.raises(ParseError, match="negative DIMENSION -2") as err:
+                read_instance(header + weights + "EOF\n", "full-matrix")
+            assert err.value.line == 2
 
     def test_tour_roundtrip_canonical(self):
         t = Tour([3, 1, 0, 2, 4])

@@ -46,12 +46,23 @@ class TestGirth:
         # the contracted multigraphs of the analyzer: arcs (tail, head, label)
         from tsplocal.certify.analyzer import _multigraph_girth_with_cycle
 
-        assert _multigraph_girth_with_cycle(3, [(0, 1, 0), (1, 0, 1)])[0] == 2
+        assert _multigraph_girth_with_cycle([(0, 1, 0), (1, 0, 1)])[0] == 2
         value, arcs, cycle = _multigraph_girth_with_cycle(
-            3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
+            [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
         )
         assert value == 3 and cycle == [0, 1, 2]
         assert arcs == [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
+
+    def test_multigraph_sparse_arc_ids(self):
+        # only the arcs that carry edges enter the girth graph; the cycle
+        # comes back in the original arc ids, in the same scan order
+        from tsplocal.certify.analyzer import _multigraph_girth_with_cycle
+
+        arcs = [(900, 5, 0), (5, 40, 1), (40, 900, 2), (40, 1119, 3)]
+        value, cycle_arcs, cycle = _multigraph_girth_with_cycle(arcs)
+        assert value == 3 and cycle == [5, 40, 900]
+        assert cycle_arcs == [(5, 40, 1), (40, 900, 2), (900, 5, 0)]
+        assert _multigraph_girth_with_cycle(arcs[1:]) == (float("inf"), None, None)
 
 
 class TestShortestCycle:

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from tsplocal.core import OneTwoInstance, Tour, tour_cost
@@ -27,6 +30,7 @@ from oracles import (
     brute_improv_move_exists,
     brute_improving_alternating_cycles,
     brute_optimum,
+    dfs_count_structure,
     naive_tour_cost,
 )
 
@@ -182,14 +186,38 @@ class TestTwoMatching:
         assert (tm.components, tm.cycles, tm.singletons) == (3, 0, 0)
 
     def test_counts_match_recount(self):
-        from tsplocal.localsearch import count_structure
-
         for seed in range(10):
             inst = random_one_two_instance(10, seed=seed, unit_prob=0.4)
             tm = tour_to_two_matching(inst, random_tour(10, seed=seed + 5))
-            assert (tm.components, tm.cycles, tm.singletons) == count_structure(
+            assert (tm.components, tm.cycles, tm.singletons) == dfs_count_structure(
                 10, tm.edges
             )
+
+    def test_count_structure_matches_dfs_reference(self):
+        from tsplocal.localsearch import count_structure
+
+        rng = random.Random(7)
+        shapes = Counter()
+        for _ in range(400):
+            n = rng.randint(0, 60)
+            verts = list(range(n))
+            rng.shuffle(verts)
+            edges = set()
+            while verts:
+                piece = [verts.pop() for _ in range(min(len(verts), rng.randint(1, 8)))]
+                edges.update(frozenset(p) for p in zip(piece, piece[1:]))
+                if len(piece) >= 3 and rng.random() < 0.5:
+                    edges.add(frozenset((piece[0], piece[-1])))
+                    shapes["cycle"] += 1
+                else:
+                    shapes["path" if len(piece) > 1 else "singleton"] += 1
+            edges = frozenset(edges)
+            assert count_structure(n, edges) == dfs_count_structure(n, edges)
+        assert min(shapes.values()) > 100
+        claw = frozenset(frozenset(e) for e in [(0, 1), (0, 2), (0, 3), (4, 5)])
+        for count in (count_structure, dfs_count_structure):
+            with pytest.raises(ValueError, match="degree 2"):
+                count(6, claw)
 
     def test_two_matching_to_tour_costs(self):
         # single Hamiltonian unit cycle reconnects at cost n
