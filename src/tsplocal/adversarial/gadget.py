@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..extremal.graph import SimpleGraph
+from ..core.instance import SimpleGraph
 
 # two 5-vertex paths: (w1, w0, w4, w3, w2) and (w7, w6, w5, w9, w8)
 GADGET_EDGES = (

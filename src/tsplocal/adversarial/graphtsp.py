@@ -8,11 +8,11 @@ k-optimal, while the double-tree witness costs less than 4|V(base)|.
 
 from __future__ import annotations
 
-from ..core.instance import GraphInstance
+from ..core.instance import GraphInstance, SimpleGraph
 from ..core.tour import Tour, tour_cost
 from ..certify.exact import double_tree_bound
 from ..extremal.euler import eulerian_walk
-from ..extremal.graph import SimpleGraph, girth
+from ..extremal.graph import girth
 from .bundle import ConstructionBundle
 
 

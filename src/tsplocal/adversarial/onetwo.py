@@ -11,11 +11,11 @@ witness tour of cost at most 10s + 10s/g.
 
 from __future__ import annotations
 
-from ..core.instance import OneTwoInstance
+from ..core.instance import OneTwoInstance, SimpleGraph
 from ..core.tour import Tour, tour_cost, walk
 from ..extremal.coloring import bipartite_edge_coloring
 from ..extremal.generate import bipartite_double_cover
-from ..extremal.graph import SimpleGraph, girth
+from ..extremal.graph import girth
 from .bundle import ConstructionBundle
 from .gadget import GADGET_EDGES, gadget_S
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.instance import Instance
+from ..core.instance import Instance, SimpleGraph
 from ..core.tour import KMove, Tour, apply_kmove, hamiltonian_order, tour_cost
-from ..extremal.graph import SimpleGraph, shortest_cycle
+from ..extremal.graph import shortest_cycle
 
 
 # -- length classes ----------------------------------------------------------

@@ -31,33 +31,29 @@ def held_karp(instance: Instance) -> tuple[Tour, int]:
     size = 1 << m
     INF = np.int64(2**62)
     dp = np.full((size, m), INF, dtype=np.int64)
-    parent = np.full((size, m), -1, dtype=np.int32)
     for j in range(m):
         dp[1 << j, j] = cost[0, j + 1]
     masks = np.arange(size)
     popcount = np.bitwise_count(masks)
     # Layer pc reads only layer pc - 1, so each (layer, j) is one batched step.
-    # Row-wise argmin returns the first minimum: the smallest predecessor.
     for pc in range(2, m + 1):
         layer = masks[popcount == pc]
         for j in range(m):
             bit = 1 << j
             mask = layer[(layer & bit) != 0]
-            cand = dp[mask ^ bit] + cost[1:, j + 1]
-            best = np.argmin(cand, axis=1)
-            dp[mask, j] = cand.min(axis=1)
-            parent[mask, j] = best
-    full = size - 1
-    closing = dp[full] + cost[1:n, 0]
-    last = int(np.argmin(closing))
-    best_cost = int(closing[last])
-    order = [0]
-    mask, j = full, last
-    chain = []
-    while j >= 0:
+            dp[mask, j] = (dp[mask ^ bit] + cost[1:, j + 1]).min(axis=1)
+    # Walk back from the full mask. Each predecessor is the first argmin of the
+    # vector the DP minimised, so ties go to the smallest index, as in the DP.
+    mask = size - 1
+    closing = dp[mask] + cost[1:n, 0]
+    j = int(np.argmin(closing))
+    best_cost = int(closing[j])
+    chain = [j + 1]
+    while mask != 1 << j:
+        mask ^= 1 << j
+        j = int(np.argmin(dp[mask] + cost[1:, j + 1]))
         chain.append(j + 1)
-        mask, j = mask ^ (1 << j), int(parent[mask, j])
-    order.extend(reversed(chain))
+    order = [0] + chain[::-1]
     tour = Tour(order)
     if tour_cost(instance, tour) != best_cost:
         raise AssertionError("Held-Karp reconstruction mismatch")
@@ -65,25 +61,26 @@ def held_karp(instance: Instance) -> tuple[Tour, int]:
 
 
 def minimum_spanning_tree(instance: Instance) -> list[tuple[int, int]]:
-    """Prim's algorithm over the full metric, deterministic tie-breaks."""
+    """Prim's algorithm over the full metric from vertex 0.
+
+    Each step adds the smallest-index vertex of minimum key; a key moves to a
+    new tree vertex only when that vertex is strictly closer.
+    """
     n = instance.n
-    in_tree = [False] * n
+    in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = np.array(instance.cost_row(0), dtype=np.int64, copy=True)
-    best_from = np.zeros(n, dtype=np.int64)
+    key = np.array(instance.cost_row(0), dtype=np.int64)
+    key_from = np.zeros(n, dtype=np.int64)
+    never = np.iinfo(np.int64).max
     edges: list[tuple[int, int]] = []
     for _ in range(n - 1):
-        pick, pick_cost = -1, None
-        for v in range(n):
-            if not in_tree[v] and (pick_cost is None or best[v] < pick_cost):
-                pick, pick_cost = v, best[v]
-        edges.append((int(best_from[pick]), pick))
+        pick = int(np.argmin(np.where(in_tree, never, key)))  # first minimum
+        edges.append((int(key_from[pick]), pick))
         in_tree[pick] = True
         row = instance.cost_row(pick)
-        for v in range(n):
-            if not in_tree[v] and row[v] < best[v]:
-                best[v] = row[v]
-                best_from[v] = pick
+        closer = (row < key) & ~in_tree
+        key[closer] = row[closer]
+        key_from[closer] = pick
     return edges
 
 

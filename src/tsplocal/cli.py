@@ -3,8 +3,11 @@
 Subcommands: construct, solve, certify, analyze, ratio-sweep. Every run
 writes one JSON report with a stable field order; identical configuration
 and seed produce byte-identical reports. Wall-clock timings go to stderr
-only, so they never break report determinism. The cage catalog directory
-can be overridden with the TSPLOCAL_CAGES environment variable.
+only, so they never break report determinism. Cages come from the catalog
+files shipped in the package, verified on load.
+
+Exit codes: 0 success; 1 a counterexample or violation was found; 2 a bad
+command line or a malformed input file, reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .certify import (
     verify_k_improv_optimal,
     verify_k_optimal,
 )
-from .core import read_instance, read_tour, tour_cost
+from .core import ParseError, read_instance, read_tour, tour_cost
 from .core.rand import random_metric_instance, random_tour
 from .extremal import load_cage
 from .localsearch import (
@@ -129,11 +132,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _read_file(path: str, parse):
+    """parse(contents of path); a malformed file exits 2, as a bad argument does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except ParseError as exc:
+        print(f"tsplocal: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def cmd_certify(args) -> int:
-    with open(args.instance, "rb") as fh:
-        instance = read_instance(fh.read(), args.format)
-    with open(args.tour, "rb") as fh:
-        tour = read_tour(fh.read())
+    instance = _read_file(args.instance, lambda data: read_instance(data, args.format))
+    tour = _read_file(args.tour, read_tour)
     if args.mode == "k-opt":
         cert = verify_k_optimal(instance, tour, args.k, budget=args.budget)
         counter = None

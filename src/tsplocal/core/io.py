@@ -17,23 +17,80 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core_formats import (
-    EdgeListParseError as ParseError,
-    read_edge_list_text,
-    tokens_with_columns as _tokens_with_columns,
-    write_edge_list_text,
-)
-from ..extremal.graph import SimpleGraph
-from .instance import GraphInstance, Instance, MetricInstance, OneTwoInstance
+from .instance import GraphInstance, Instance, MetricInstance, OneTwoInstance, SimpleGraph
 from .tour import Tour
 
 FORMATS = ("full-matrix", "edge-list", "unit-edge-list")
+
+
+class ParseError(ValueError):
+    """Malformed input text, located by 1-based line and column."""
+
+    def __init__(self, message: str, line: int, column: int = 1):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
 
 
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         return data.decode("ascii")
     return data
+
+
+def _tokens_with_columns(raw: str):
+    i = 0
+    while i < len(raw):
+        if raw[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < len(raw) and not raw[j].isspace():
+            j += 1
+        yield i + 1, raw[i:j]
+        i = j
+
+
+# -- edge lists -------------------------------------------------------------
+
+
+def write_edge_list_text(n: int, edges) -> str:
+    lines = [f"{n} {len(edges)}"]
+    for u, v in sorted(tuple(e) for e in edges):
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def read_edge_list_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty edge list", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError('expected header "n m"', 1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError('expected integer header "n m"', 1) from None
+    edges = []
+    lineno = 1
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        toks = list(_tokens_with_columns(raw))
+        if len(toks) != 2:
+            raise ParseError('expected edge line "u v"', lineno)
+        try:
+            u = int(toks[0][1])
+            v = int(toks[1][1])
+        except ValueError:
+            raise ParseError("bad vertex id", lineno, toks[0][0]) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex out of range in edge ({u},{v})", lineno)
+        edges.append((u, v))
+    if len(edges) != m:
+        raise ParseError(f"expected {m} edges, got {len(edges)}", lineno)
+    return n, edges
 
 
 # -- full matrix (TSPLIB subset) ------------------------------------------

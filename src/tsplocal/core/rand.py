@@ -9,8 +9,7 @@ import random
 
 import numpy as np
 
-from ..extremal.graph import SimpleGraph
-from .instance import GraphInstance, MetricInstance, OneTwoInstance
+from .instance import GraphInstance, MetricInstance, OneTwoInstance, SimpleGraph
 from .tour import Tour
 
 

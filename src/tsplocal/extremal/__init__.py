@@ -1,9 +1,10 @@
-from .cages import CATALOG, build_catalog_files, generate_cage, load_cage
+from ..core.instance import SimpleGraph
+from .cages import CATALOG, build_catalog_files, load_cage
 from .coloring import bipartite_edge_coloring
 from .euler import eulerian_walk
 from .exsearch import EX_VERTEX_LIMIT, alon_upper_bound_holds, ex_bruteforce
 from .generate import GirthRepairError, bipartite_double_cover, regular_high_girth
-from .graph import SimpleGraph, girth, shortest_cycle
+from .graph import girth, shortest_cycle
 
 __all__ = [
     "CATALOG",
@@ -16,7 +17,6 @@ __all__ = [
     "build_catalog_files",
     "eulerian_walk",
     "ex_bruteforce",
-    "generate_cage",
     "girth",
     "load_cage",
     "regular_high_girth",

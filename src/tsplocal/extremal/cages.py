@@ -9,31 +9,23 @@ Every entry is generated from an incidence geometry over a prime field:
   (6,8)  incidence graph of W(5)
   (4,12) incidence graph of the split Cayley hexagon over GF(3)
 
-Generated graphs are shipped as edge-list data files (the external
-interface); the loader prefers the directory named by the TSPLOCAL_CAGES
-environment variable, then package data, then regeneration.
-All outputs are re-verified for regularity and girth before being returned.
+`load_cage` has one source: the entry's edge-list file shipped in the
+package, ``cages/cage_{delta}_{g}.edges``. It re-verifies regularity,
+connectivity and girth of every file it reads. The generators are the files'
+provenance: `build_catalog_files` regenerates and verifies them, and the
+shipped files must match its output byte for byte.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 from importlib import resources
 from itertools import product
 
-from ..core_formats import read_edge_list_text, write_edge_list_text
-from .graph import SimpleGraph, girth
-
-CATALOG: dict[tuple[int, int], str] = {
-    (3, 5): "cage_3_5",
-    (4, 6): "cage_4_6",
-    (3, 8): "cage_3_8",
-    (4, 8): "cage_4_8",
-    (6, 8): "cage_6_8",
-    (4, 12): "cage_4_12",
-}
-
-ENV_VAR = "TSPLOCAL_CAGES"
+from ..core.instance import SimpleGraph
+from ..core.io import read_edge_list_text, write_edge_list_text
+from .graph import girth
 
 
 def petersen() -> SimpleGraph:
@@ -81,39 +73,47 @@ def projective_plane_incidence(p: int) -> SimpleGraph:
     return SimpleGraph(2 * npts, edges)
 
 
+def _line_incidence(pts, p: int, collinear) -> SimpleGraph:
+    """Incidence graph of the points `pts` of PG(d-1, p) and the lines they span.
+
+    Each pair x, y of points with collinear(x, y) spans the line x + <y>: the
+    p + 1 points x and y + lam*x. Lines are numbered after the points, in the
+    order of their sorted point indices.
+    """
+    index = {x: i for i, x in enumerate(pts)}
+    dim = len(pts[0])
+    lines: set[frozenset[int]] = set()
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            if not collinear(x, y):
+                continue
+            members = {index[x]}
+            for lam in range(p):
+                z = _normalize(tuple((y[t] + lam * x[t]) % p for t in range(dim)), p)
+                members.add(index[z])
+            lines.add(frozenset(members))
+    npts = len(pts)
+    line_list = sorted(lines, key=sorted)
+    edges = [(v, npts + li) for li, line in enumerate(line_list) for v in line]
+    return SimpleGraph(npts + len(line_list), edges)
+
+
 def symplectic_quadrangle_incidence(p: int) -> SimpleGraph:
     """Incidence graph of the symplectic quadrangle W(p): girth 8.
 
     Points are all of PG(3,p); lines are the totally isotropic lines of the
     form B(x,y) = x0*y1 - x1*y0 + x2*y3 - x3*y2.
     """
-    pts = _proj_points(4, p)
-    index = {x: i for i, x in enumerate(pts)}
 
-    def bform(x, y) -> int:
-        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % p
+    def isotropic(x, y) -> bool:
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % p == 0
 
-    lines: set[frozenset[int]] = set()
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            if bform(x, y) != 0:
-                continue
-            members = {index[x]}
-            for lam in range(p):
-                z = _normalize(tuple((y[t] + lam * x[t]) % p for t in range(4)), p)
-                members.add(index[z])
-            lines.add(frozenset(members))
-    npts = len(pts)
-    line_list = sorted(lines, key=sorted)
-    edges = []
-    for li, line in enumerate(line_list):
-        for v in line:
-            edges.append((v, npts + li))
-    return SimpleGraph(npts + len(line_list), edges)
+    return _line_incidence(_proj_points(4, p), p, isotropic)
 
 
 # Grassmann relations carving the split Cayley hexagon's lines out of the
-# quadric x0*x4 + x1*x5 + x2*x6 = x3^2 (Van Maldeghem's coordinatization):
+# quadric x0*x4 + x1*x5 + x2*x6 = x3^2 (Van Maldeghem's coordinatization,
+# "Generalized Polygons", 1998):
 # p12=p34, p56=p03, p45=p23, p01=p36, p20=p35, p64=p13.
 _HEXAGON_RELATIONS = (
     ((1, 2), (3, 4)),
@@ -128,9 +128,12 @@ _HEXAGON_RELATIONS = (
 def split_cayley_hexagon_incidence(p: int = 3) -> SimpleGraph:
     """Incidence graph of the split Cayley hexagon over GF(p): girth 12.
 
-    For p = 3 this is the unique (4,12)-cage on 728 vertices.
+    For p = 3 this is the unique (4,12)-cage on 728 vertices. Points are the
+    points of the quadric Q(x) = 0; lines are spanned by pairs x, y with
+    B(x,y) = 0 (B the polar form of Q) that satisfy the Grassmann relations.
+    Such a line lies on the quadric, since Q(y + lam*x) = Q(y) + lam*B(x,y) +
+    lam^2*Q(x) = 0 for every lam.
     """
-    pts_all = _proj_points(7, p)
 
     def quad(x) -> int:
         return (x[0] * x[4] + x[1] * x[5] + x[2] * x[6] - x[3] * x[3]) % p
@@ -143,10 +146,9 @@ def split_cayley_hexagon_incidence(p: int = 3) -> SimpleGraph:
             - 2 * x[3] * y[3]
         ) % p
 
-    pts = [x for x in pts_all if quad(x) == 0]
-    index = {x: i for i, x in enumerate(pts)}
-
-    def plucker_ok(x, y) -> bool:
+    def collinear(x, y) -> bool:
+        if polar(x, y) != 0:
+            return False
         for (a, b), (c, d) in _HEXAGON_RELATIONS:
             lhs = (x[a] * y[b] - x[b] * y[a]) % p
             rhs = (x[c] * y[d] - x[d] * y[c]) % p
@@ -154,31 +156,11 @@ def split_cayley_hexagon_incidence(p: int = 3) -> SimpleGraph:
                 return False
         return True
 
-    lines: set[frozenset[int]] = set()
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            if polar(x, y) != 0 or not plucker_ok(x, y):
-                continue
-            members = {index[x]}
-            on_quadric = True
-            for lam in range(p):
-                z = _normalize(tuple((y[t] + lam * x[t]) % p for t in range(7)), p)
-                if z not in index:
-                    on_quadric = False
-                    break
-                members.add(index[z])
-            if on_quadric:
-                lines.add(frozenset(members))
-    npts = len(pts)
-    line_list = sorted(lines, key=sorted)
-    edges = []
-    for li, line in enumerate(line_list):
-        for v in line:
-            edges.append((v, npts + li))
-    return SimpleGraph(npts + len(line_list), edges)
+    pts = [x for x in _proj_points(7, p) if quad(x) == 0]
+    return _line_incidence(pts, p, collinear)
 
 
-_GENERATORS = {
+CATALOG = {
     (3, 5): petersen,
     (4, 6): lambda: projective_plane_incidence(3),
     (3, 8): lambda: symplectic_quadrangle_incidence(2),
@@ -187,57 +169,34 @@ _GENERATORS = {
     (4, 12): lambda: split_cayley_hexagon_incidence(3),
 }
 
-_cache: dict[tuple[int, int], SimpleGraph] = {}
+
+def _file_name(delta: int, g: int) -> str:
+    return f"cage_{delta}_{g}.edges"
 
 
-def generate_cage(delta: int, g: int) -> SimpleGraph:
-    """Generate a catalog cage from scratch and verify it."""
-    key = (delta, g)
-    if key not in _GENERATORS:
+@cache
+def load_cage(delta: int, g: int) -> SimpleGraph:
+    """The catalog cage (delta, g), read from its package file and verified.
+
+    Memoised, so every caller shares one graph.
+    """
+    if (delta, g) not in CATALOG:
         raise KeyError(f"({delta},{g}) is not in the cage catalog")
-    graph = _GENERATORS[key]()
+    res = resources.files(__package__).joinpath("cages", _file_name(delta, g))
+    n, edges = read_edge_list_text(res.read_text(encoding="ascii"))
+    graph = SimpleGraph(n, edges)
     _verify(graph, delta, g)
     return graph
 
 
-def load_cage(delta: int, g: int) -> SimpleGraph:
-    """Load a catalog cage, preferring edge-list files over regeneration."""
-    key = (delta, g)
-    if key not in CATALOG:
-        raise KeyError(f"({delta},{g}) is not in the cage catalog")
-    if key in _cache:
-        return _cache[key]
-    name = CATALOG[key] + ".edges"
-    text = None
-    if directory := os.environ.get(ENV_VAR):
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-    if text is None:
-        try:
-            res = resources.files("tsplocal.extremal").joinpath("cages", name)
-            if res.is_file():
-                text = res.read_text(encoding="ascii")
-        except (FileNotFoundError, ModuleNotFoundError):
-            text = None
-    if text is not None:
-        n, edges = read_edge_list_text(text)
-        graph = SimpleGraph(n, edges)
-        _verify(graph, delta, g)
-    else:
-        graph = generate_cage(delta, g)
-    _cache[key] = graph
-    return graph
-
-
 def build_catalog_files(directory: str) -> list[str]:
-    """Regenerate every catalog entry into edge-list files."""
+    """Regenerate and verify every catalog entry into edge-list files."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    for (delta, g), stem in sorted(CATALOG.items()):
-        graph = generate_cage(delta, g)
-        path = os.path.join(directory, stem + ".edges")
+    for delta, g in sorted(CATALOG):
+        graph = CATALOG[delta, g]()
+        _verify(graph, delta, g)
+        path = os.path.join(directory, _file_name(delta, g))
         with open(path, "w", encoding="ascii") as fh:
             fh.write(write_edge_list_text(graph.n, graph.edges()))
         written.append(path)

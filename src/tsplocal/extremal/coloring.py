@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import SimpleGraph
-
-Edge = tuple[int, int]
+from ..core.instance import Edge, SimpleGraph
 
 
 def bipartite_edge_coloring(graph: SimpleGraph) -> dict[Edge, int]:

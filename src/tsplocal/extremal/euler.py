@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import SimpleGraph
+from ..core.instance import SimpleGraph
 
 
 def eulerian_walk(graph: SimpleGraph) -> list[int]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .graph import Edge, SimpleGraph, girth
+from ..core.instance import Edge, SimpleGraph
+from .graph import girth
 
 EX_VERTEX_LIMIT = 9
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+from ..core.instance import SimpleGraph
 from .cages import CATALOG, load_cage
-from .graph import SimpleGraph, shortest_cycle
+from .graph import shortest_cycle
 
 
 class GirthRepairError(RuntimeError):

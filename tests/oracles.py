@@ -136,6 +136,32 @@ def dfs_count_structure(n: int, edges) -> tuple[int, int, int]:
     return components, cycles, singletons
 
 
+def prim_reference(instance) -> list[tuple[int, int]]:
+    """Prim's algorithm from vertex 0 as a plain double loop.
+
+    Each step adds the smallest-index vertex of minimum key; a key moves to a
+    new tree vertex only when that vertex is strictly closer.
+    """
+    n = instance.n
+    in_tree = [False] * n
+    in_tree[0] = True
+    best = [instance.c(0, v) for v in range(n)]
+    best_from = [0] * n
+    edges: list[tuple[int, int]] = []
+    for _ in range(n - 1):
+        pick, pick_cost = -1, None
+        for v in range(n):
+            if not in_tree[v] and (pick_cost is None or best[v] < pick_cost):
+                pick, pick_cost = v, best[v]
+        edges.append((best_from[pick], pick))
+        in_tree[pick] = True
+        for v in range(n):
+            if not in_tree[v] and instance.c(pick, v) < best[v]:
+                best[v] = instance.c(pick, v)
+                best_from[v] = pick
+    return edges
+
+
 def brute_improv_move_exists(instance, tm, k: int) -> bool:
     """Dumb enumeration over all (delete, add) pairs with total size <= k."""
     base = (tm.components, -tm.cycles, tm.singletons)

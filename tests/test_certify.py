@@ -14,6 +14,7 @@ from tsplocal.core.rand import (
     line_metric,
     random_graph_instance,
     random_metric_instance,
+    random_one_two_instance,
     random_tour,
 )
 from tsplocal.certify import (
@@ -27,6 +28,7 @@ from tsplocal.certify import (
     find_improving_alternating_cycle,
     held_karp,
     length_class_report,
+    minimum_spanning_tree,
     verify_k_improv_optimal,
     verify_k_optimal,
 )
@@ -38,7 +40,12 @@ from tsplocal.localsearch import (
     tour_to_two_matching,
 )
 
-from oracles import brute_has_improving_kmove, brute_optimum, naive_tour_cost
+from oracles import (
+    brute_has_improving_kmove,
+    brute_optimum,
+    naive_tour_cost,
+    prim_reference,
+)
 
 
 class TestHeldKarp:
@@ -78,6 +85,20 @@ class TestDoubleTree:
             witness = double_tree_bound(inst)
             _, opt = held_karp(inst)
             assert tour_cost(inst, witness) >= opt
+
+
+class TestMinimumSpanningTree:
+    def test_matches_reference_prim(self):
+        # small costs, hop distances and {1,2} costs all make many ties, so
+        # the edge lists pin the tie-break as well as the tree
+        for n in range(1, 62, 4):
+            for seed in range(4):
+                for inst in (
+                    random_metric_instance(n, seed=seed, max_cost=3),
+                    random_graph_instance(n, n // 2, seed=seed),
+                    random_one_two_instance(n, seed=seed, unit_prob=0.2),
+                ):
+                    assert minimum_spanning_tree(inst) == prim_reference(inst), (inst, seed)
 
 
 class TestVerifyKOptimal:

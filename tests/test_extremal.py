@@ -10,7 +10,6 @@ from tsplocal.extremal import (
     bipartite_edge_coloring,
     eulerian_walk,
     ex_bruteforce,
-    generate_cage,
     girth,
     load_cage,
     regular_high_girth,
@@ -173,7 +172,6 @@ class TestCatalog:
 
     def test_files_match_generator(self, tmp_path):
         from tsplocal.extremal import build_catalog_files
-        from tsplocal.core_formats import read_edge_list_text
 
         build_catalog_files(str(tmp_path))
         shipped = os.path.join(
@@ -186,20 +184,21 @@ class TestCatalog:
             with open(os.path.join(shipped, name)) as fh:
                 assert fh.read() == fresh
 
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        from tsplocal.extremal import cages as cages_mod
-        from tsplocal.core_formats import write_edge_list_text
+    def test_load_verifies_the_file(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
 
-        g = cycle_graph(5)
-        with open(tmp_path / "cage_3_5.edges", "w") as fh:
-            fh.write(write_edge_list_text(5, g.edges()))
-        monkeypatch.setenv(cages_mod.ENV_VAR, str(tmp_path))
-        cages_mod._cache.pop((3, 5), None)
-        # the planted file is not 3-regular: verification must catch it
-        with pytest.raises(AssertionError):
-            load_cage(3, 5)
-        monkeypatch.delenv(cages_mod.ENV_VAR)
-        cages_mod._cache.pop((3, 5), None)
+        from tsplocal.core.io import write_edge_list_text
+        from tsplocal.extremal import cages as cages_mod
+
+        (tmp_path / "cages").mkdir()
+        (tmp_path / "cages" / "cage_3_5.edges").write_text(
+            write_edge_list_text(5, cycle_graph(5).edges())
+        )
+        monkeypatch.setattr(cages_mod, "resources", SimpleNamespace(files=lambda _: tmp_path))
+        # the file is not 3-regular: the load must fail, not return it.
+        # __wrapped__ bypasses the memo, so no other test sees this load.
+        with pytest.raises(AssertionError, match="not 3-regular"):
+            cages_mod.load_cage.__wrapped__(3, 5)
 
     def test_4_12_cage_size(self):
         g = load_cage(4, 12)

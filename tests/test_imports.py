@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tsplocal
 
 
@@ -27,18 +29,30 @@ def test_package_imports_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def _imports_localsearch(path: Path) -> bool:
+SRC = Path(tsplocal.__file__).parent.parent
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def _imported_modules(path: Path) -> list[str]:
+    """Absolute names of the modules a source file under SRC imports."""
+    package = path.parent.relative_to(SRC).parts
+    names = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names = [("." * node.level) + (node.module or "")]
-            names += [f"{names[0]}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        if any("localsearch" in name.split(".") for name in names):
-            return True
-    return False
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                prefix = ".".join(package[: len(package) - node.level + 1])
+                base = f"{prefix}.{base}" if base else prefix
+            if node.module:
+                names.append(base)
+            else:
+                names += [f"{base}.{alias.name}" for alias in node.names]
+    return names
 
 
 def test_certifiers_do_not_import_the_search():
@@ -46,6 +60,35 @@ def test_certifiers_do_not_import_the_search():
     # exception: the 2-matching model (TwoMatching, count_structure) still
     # lives in localsearch.improv, and perfbench counts count_structure calls
     # by wrapping that module's attribute, so moving it changes those counts.
-    certify = Path(tsplocal.__file__).parent / "certify"
-    importers = {p.stem for p in certify.glob("*.py") if _imports_localsearch(p)}
+    certify = SRC / "tsplocal" / "certify"
+    importers = {
+        p.stem
+        for p in certify.glob("*.py")
+        if any(_within(name, "tsplocal.localsearch") for name in _imported_modules(p))
+    }
     assert importers == {"improv_cert"}
+
+
+def test_core_imports_nothing_outside_core():
+    # core (graphs, instances, tours, IO) is the bottom layer: every other
+    # package may import it, so it imports none of them
+    outside = sorted(
+        f"{p.relative_to(SRC)}: {name}"
+        for p in (SRC / "tsplocal" / "core").rglob("*.py")
+        for name in _imported_modules(p)
+        if _within(name, "tsplocal") and not _within(name, "tsplocal.core")
+    )
+    assert outside == []
+
+
+@pytest.mark.parametrize(
+    "module", ["core", "extremal", "localsearch", "certify", "adversarial", "cli"]
+)
+def test_imports_first_in_a_fresh_interpreter(module):
+    # an import cycle breaks only when a module on it is imported first
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import tsplocal.{module}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
