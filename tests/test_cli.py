@@ -1,11 +1,8 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-import tsplocal
 from tsplocal.cli import main
 from tsplocal.adversarial import build_graph_tsp_lower, write_bundle
 from tsplocal.extremal import SimpleGraph
@@ -154,19 +151,24 @@ class TestCertify:
 
 
 class TestMalformedInput:
+    # a malformed file is a bad argument: one stderr line and exit 2, never a
+    # traceback (the exception would escape pytest.raises) or the
+    # counterexample code 1
     @staticmethod
-    def _certify(tmp_path, instance_text, tour_text):
+    def _certify(tmp_path, capsys, instance_text, tour_text):
         (tmp_path / "inst.txt").write_text(instance_text)
         (tmp_path / "t.tour").write_text(tour_text)
-        src = os.path.dirname(os.path.dirname(tsplocal.__file__))
-        return subprocess.run(
-            [
-                sys.executable, "-m", "tsplocal.cli", "certify",
-                "--instance", str(tmp_path / "inst.txt"), "--format", "full-matrix",
-                "--tour", str(tmp_path / "t.tour"), "--out", str(tmp_path / "c.json"),
-            ],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "certify",
+                    "--instance", str(tmp_path / "inst.txt"), "--format", "full-matrix",
+                    "--tour", str(tmp_path / "t.tour"), "--out", str(tmp_path / "c.json"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "c.json").exists()
+        return capsys.readouterr().err
 
     def _good_files(self):
         from tsplocal.core import Tour, write_instance, write_tour
@@ -175,25 +177,21 @@ class TestMalformedInput:
         inst = write_instance(line_metric([0, 1, 2]), "full-matrix").decode()
         return inst, write_tour(Tour([0, 1, 2])).decode()
 
-    def test_truncated_matrix_exits_2(self, tmp_path):
+    def test_truncated_matrix_exits_2(self, tmp_path, capsys):
         inst, tour = self._good_files()
         truncated = inst.replace("1 0 1\n", "")  # drop the middle row
-        result = self._certify(tmp_path, truncated, tour)
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert result.stderr == (
+        err = self._certify(tmp_path, capsys, truncated, tour)
+        assert err == (
             f"tsplocal: {tmp_path / 'inst.txt'}: line 9, column 1: "
             "expected 9 weights, got 6\n"
         )
-        assert not (tmp_path / "c.json").exists()
 
-    def test_tour_without_terminator_exits_2(self, tmp_path):
+    def test_tour_without_terminator_exits_2(self, tmp_path, capsys):
         inst, tour = self._good_files()
-        result = self._certify(tmp_path, inst, tour.replace("-1\n", ""))
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert f"{tmp_path / 't.tour'}: line 8, column 1: missing -1 terminator" in (
-            result.stderr
+        err = self._certify(tmp_path, capsys, inst, tour.replace("-1\n", ""))
+        assert err == (
+            f"tsplocal: {tmp_path / 't.tour'}: line 8, column 1: "
+            "missing -1 terminator\n"
         )
 
 

@@ -36,23 +36,43 @@ def _within(name: str, package: str) -> bool:
     return name == package or name.startswith(package + ".")
 
 
-def _imported_modules(path: Path) -> list[str]:
-    """Absolute names of the modules a source file under SRC imports."""
-    package = path.parent.relative_to(SRC).parts
+def _imported_modules(source: str, package: str) -> list[str]:
+    """Absolute names a module of `package` imports. For `from X import a` both
+    X and X.a are listed, since a may be a submodule."""
+    parts = package.split(".")
     names = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                prefix = ".".join(package[: len(package) - node.level + 1])
+                prefix = ".".join(parts[: len(parts) - node.level + 1])
                 base = f"{prefix}.{base}" if base else prefix
-            if node.module:
-                names.append(base)
-            else:
-                names += [f"{base}.{alias.name}" for alias in node.names]
+            names.append(base)
+            names += [f"{base}.{alias.name}" for alias in node.names]
     return names
+
+
+def _imports_of(path: Path) -> list[str]:
+    package = ".".join(path.parent.relative_to(SRC).parts)
+    return _imported_modules(path.read_text(), package)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import tsplocal.localsearch",
+        "import tsplocal.localsearch.improv as improv",
+        "from tsplocal import localsearch",
+        "from tsplocal.localsearch import improv",
+        "from .. import localsearch",
+        "from ..localsearch.improv import TwoMatching",
+    ],
+)
+def test_resolver_sees_every_import_form(source):
+    names = _imported_modules(source, "tsplocal.certify")
+    assert any(_within(name, "tsplocal.localsearch") for name in names)
 
 
 def test_certifiers_do_not_import_the_search():
@@ -64,7 +84,7 @@ def test_certifiers_do_not_import_the_search():
     importers = {
         p.stem
         for p in certify.glob("*.py")
-        if any(_within(name, "tsplocal.localsearch") for name in _imported_modules(p))
+        if any(_within(name, "tsplocal.localsearch") for name in _imports_of(p))
     }
     assert importers == {"improv_cert"}
 
@@ -75,7 +95,7 @@ def test_core_imports_nothing_outside_core():
     outside = sorted(
         f"{p.relative_to(SRC)}: {name}"
         for p in (SRC / "tsplocal" / "core").rglob("*.py")
-        for name in _imported_modules(p)
+        for name in _imports_of(p)
         if _within(name, "tsplocal") and not _within(name, "tsplocal.core")
     )
     assert outside == []
